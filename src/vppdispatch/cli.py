@@ -131,7 +131,10 @@ def _cmd_dispatch(args) -> int:
     else:
         lp = build_deterministic(window, fc)
     solution = solve_lp(lp)
-    print(f"status={solution.status} objective={solution.objective:.6f} iterations={solution.iterations}")
+    # the stochastic program drops a constant from its objective; adding it
+    # back reports the two-stage expected cost
+    objective = solution.objective + lp.meta["objective_offset"]
+    print(f"status={solution.status} objective={objective:.6f} iterations={solution.iterations}")
     if args.mps:
         write_mps(lp, args.mps)
         print(f"wrote {args.mps}")

@@ -11,11 +11,14 @@ so behaviour differs only along the intended axes (scenarios on/off,
 re-plan interval, update scheme).
 
 An infeasible program never aborts an episode: the step falls back to zero
-action and the incident is counted.
+action and the incident is counted.  Likewise a fine-tune whose training
+diverges keeps the target's previous model; the event is counted and
+logged at WARNING.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, replace
 
@@ -24,6 +27,7 @@ import numpy as np
 from .domain import ProblemInstance, StorageDevice
 from .evaluate import CostBreakdown, cost_breakdown, wmape
 from .forecast import (
+    DivergenceError,
     ForecastModel,
     ModelSpec,
     OnlineData,
@@ -44,6 +48,8 @@ from .simulator import PerturbationConfig, Simulator
 RBC_CHARGE_HOURS = (10, 11, 12, 13)
 RBC_DISCHARGE_HOURS = (16, 17, 18, 19)
 RBC_FRACTION = 0.10
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,7 @@ class EpisodeResult:
     dispatch_seconds: list[float]
     seconds_per_day: float
     models: dict | None = None
+    finetune_divergences: int = 0  # updates that diverged and kept the old model
 
 
 @dataclass
@@ -137,6 +144,8 @@ class PretrainedBundle:
 
 class OracleProvider:
     """Perfect foresight: forecasts are the realized series, sigma is zero."""
+
+    divergences = 0
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
@@ -199,6 +208,7 @@ class ModelProvider:
         self.act_log: dict[str, list[float]] = {k: [] for k in self.specs}
         self.last_finetune = -(10**9)
         self.n_finetunes = 0
+        self.divergences = 0
 
     # -- training ------------------------------------------------------
 
@@ -226,25 +236,23 @@ class ModelProvider:
 
     def _estimate_sigma(self, t_start: int, t_end: int, initial: bool = False) -> None:
         for key, model in self.models.items():
-            residual_sets, preds, acts = [], [], []
+            residual_sets, windows = [], []
             for series in self.series[key]:
+                series_windows: list = []
                 try:
-                    est = estimate_variance(model, series, self.grid, t_start, t_end)
-                    residual_sets.append(est.sigma)
+                    est = estimate_variance(model, series, self.grid, t_start, t_end, series_windows)
                 except ValueError:
-                    continue
-                H = model.spec.horizon
-                for t in range(max(t_start, model.spec.lag_K), t_end - H + 1):
-                    preds.append(predict(model, series, self.grid, t, H))
-                    acts.append(series[t : t + H])
+                    continue  # a series with fewer than two windows enters neither figure
+                residual_sets.append(est.sigma)
+                windows += series_windows
             if residual_sets:
                 pooled = np.sqrt(np.mean(np.square(np.stack(residual_sets)), axis=0))
                 self.sigma[key] = UncertaintyEstimate(pooled)
             elif key not in self.sigma:
                 self.sigma[key] = UncertaintyEstimate(np.zeros(self.config.horizon_T))
             if initial:
-                a = np.concatenate([x.ravel() for x in acts]) if acts else np.zeros(0)
-                p = np.concatenate([x.ravel() for x in preds]) if preds else np.zeros(0)
+                a = np.concatenate([act for act, _ in windows]) if windows else np.zeros(0)
+                p = np.concatenate([pred for _, pred in windows]) if windows else np.zeros(0)
                 self.val_wmape[key] = wmape(a, p) if a.size and np.sum(np.abs(a)) > 0 else 0.0
 
     # -- inference -----------------------------------------------------
@@ -339,8 +347,12 @@ class ModelProvider:
             )
             base_hyper = cfg.train if scheme.kind == "scratch" else cfg.finetune
             hyper = replace(base_hyper, seed=cfg.seed * 104729 + self.n_finetunes * 31 + _key_salt(key))
-            self.models[key] = apply_update(model, scheme, online, hyper)
-            updated_any = True
+            updated_any = True  # a diverged update still spends the event and its cooldown
+            try:
+                self.models[key] = apply_update(model, scheme, online, hyper)
+            except DivergenceError as exc:
+                self.divergences += 1
+                logger.warning("fine-tune of %s at step %d diverged (%s); keeping the previous model", key, t_abs, exc)
         if not updated_any:
             return None  # nothing eligible yet; do not burn the cooldown
         self._estimate_sigma(max(cfg.lag_K, t_abs - cfg.val_window), t_abs)
@@ -516,6 +528,7 @@ def _finalize(
         dispatch_seconds=dispatch_seconds,
         seconds_per_day=loop_seconds / max(control_len, 1) * 24.0,
         models=provider.final_models(),
+        finetune_divergences=provider.divergences,
     )
 
 

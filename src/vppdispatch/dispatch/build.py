@@ -6,13 +6,15 @@ model here is deliberately nominal (unit efficiency): the simulator's true
 physics may differ, and the rolling horizon absorbs the mismatch.
 
 The stochastic program shares generation, storage and state-of-charge
-decisions across scenarios (here-and-now) while the grid draw becomes a
+decisions across scenarios (here-and-now) while the grid draw is a
 per-scenario recourse variable; the objective averages the scenario-priced
-recourse.  Sharing the balance across scenarios with a single grid draw
-would be infeasible whenever scenario loads differ, so recourse grid draw
-is the workable reading.  Generation stays below its capacity realization
-in every scenario, which is the same as capping it at the scenario-wise
-minimum.
+recourse.  Generation stays below its capacity realization in every
+scenario.  The only scenario-indexed variable is a nonnegative, linearly
+priced draw that each balance row pins down, so the program is built as the
+deterministic one over three scenario statistics: the mean price, the
+per-step minimum district load and the per-generator minimum solar cap.
+Its size is independent of the scenario count; the constant it drops from
+the objective and the gap to the scenario-average draw travel in ``meta``.
 
 Charge/discharge exclusivity is not representable in an LP; it is omitted
 here and repaired exactly in ``extract_plan`` by netting the two flows,
@@ -81,67 +83,53 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
         entries += [(chg[si, t], -1.0) for si in range(len(instance.storages))]
         b.add_row(entries, float(district_load[t]), float(district_load[t]))
     meta = _meta(instance, T, n_scenarios=0)
-    meta["columns"] = _column_arrays(np.asarray(grid_cols)[None, :], gen, chg, dis, instance, T)
+    meta["columns"] = _column_arrays(grid_cols, gen, chg, dis, instance, T)
     return b.build(meta=meta)
 
 
 def build_stochastic(instance: ProblemInstance, scenarios: ScenarioSet) -> LinearProgram:
-    """Two-stage program: shared dispatch, per-scenario recourse grid draw.
+    """Two-stage program, collapsed to the deterministic program over its
+    scenario statistics.
 
-    The N*T balance rows are assembled as arrays rather than row by row;
-    at large scenario counts the Python-level loop would dominate the
-    whole planning step.
+    Scenario n's balance row fixes its recourse draw at
+    ``grid_n,t = L_n,t - net_t``, where ``net_t`` is the shared generation
+    plus discharge minus charge.  The draw must stay nonnegative and is
+    priced linearly at ``p_n,t / N``, so the program is exactly
+    ``min sum_t pbar_t (L_min,t - net_t)`` subject to ``net_t <= L_min,t``,
+    plus the constant ``mean_n(p_n . L_n) - pbar . L_min``, with ``pbar``
+    the scenario-mean price and ``L_min`` the per-step minimum district
+    load (simple recourse).  Generation is capped at the per-generator
+    minimum capacity.  The program size does not depend on N.
+
+    ``meta`` carries the constant as ``objective_offset`` and the per-step
+    gap ``mean_n L_n,t - L_min,t`` as ``grid_shift``: the two-stage expected
+    cost is ``solution.objective + objective_offset``, and ``extract_plan``
+    reports the scenario-average draw.
     """
     N = scenarios.n_scenarios
     if N < 1:
         raise ValueError("scenario set is empty")
-    T = _check_horizon(instance, scenarios.solar[0], scenarios.load[0], scenarios.price[0])
-    G, S = len(instance.generators), len(instance.storages)
-
-    b = LPBuilder()
-    b.col_names.extend(ColumnName("grid", "", t, scenario=n) for n in range(N) for t in range(T))
-    b.col_lo.extend([0.0] * (N * T))
-    b.col_up.extend([np.inf] * (N * T))
-    b.c.extend((scenarios.price / N).reshape(-1).tolist())
-    gen_caps = scenarios.solar.min(axis=0)  # below capacity in every scenario
-    gen, chg, dis = _add_shared_columns(b, instance, gen_caps, T)
-
-    grid_ids = np.arange(N * T).reshape(N, T)  # grid columns were added first, n-major
-    gen_ids = np.array([[gen[gi, t] for t in range(T)] for gi in range(G)], dtype=np.int64).reshape(G, T)
-    dis_ids = np.array([[dis[si, t] for t in range(T)] for si in range(S)], dtype=np.int64).reshape(S, T)
-    chg_ids = np.array([[chg[si, t] for t in range(T)] for si in range(S)], dtype=np.int64).reshape(S, T)
-
-    k = 1 + G + 2 * S  # entries per balance row
-    col_mat = np.empty((N, T, k), dtype=np.int64)
-    val_mat = np.empty((N, T, k))
-    col_mat[:, :, 0] = grid_ids
-    val_mat[:, :, 0] = 1.0
-    for gi in range(G):
-        col_mat[:, :, 1 + gi] = gen_ids[gi][None, :]
-        val_mat[:, :, 1 + gi] = 1.0
-    for si in range(S):
-        col_mat[:, :, 1 + G + si] = dis_ids[si][None, :]
-        val_mat[:, :, 1 + G + si] = 1.0
-        col_mat[:, :, 1 + G + S + si] = chg_ids[si][None, :]
-        val_mat[:, :, 1 + G + S + si] = -1.0
-
-    base_row = len(b.row_lo)
-    row_ids = base_row + np.arange(N * T)
-    district_load = scenarios.load.sum(axis=1).reshape(N * T)  # (N, T) flattened n-major
-    b.rows.extend(np.repeat(row_ids, k).tolist())
-    b.cols.extend(col_mat.reshape(-1).tolist())
-    b.vals.extend(val_mat.reshape(-1).tolist())
-    b.row_lo.extend(district_load.tolist())
-    b.row_up.extend(district_load.tolist())
-    meta = _meta(instance, T, n_scenarios=N)
-    meta["columns"] = _column_arrays(grid_ids, gen, chg, dis, instance, T)
-    return b.build(meta=meta)
+    # summed sequentially in scenario order (np.mean sums pairwise), the
+    # order in which substituting out the N*T program's grid columns
+    # accumulates their costs, so both programs reduce to the same bits
+    price = np.cumsum(scenarios.price / N, axis=0)[-1]
+    district = scenarios.load.sum(axis=1)  # (N, T)
+    load_min = district.min(axis=0)
+    # one aggregate "building" carries the district load; the builder only sums loads
+    stats = Forecasts(solar=scenarios.solar.min(axis=0), load=load_min[None, :], price=price)
+    lp = build_deterministic(instance, stats)
+    lp.meta.update(
+        n_scenarios=N,
+        objective_offset=float(np.mean(np.sum(scenarios.price * district, axis=1)) - price @ load_min),
+        grid_shift=district.mean(axis=0) - load_min,
+    )
+    return lp
 
 
 def _column_arrays(grid_ids, gen, chg, dis, instance, T) -> dict:
     G, S = len(instance.generators), len(instance.storages)
     return {
-        "grid": np.asarray(grid_ids),
+        "grid": np.asarray(grid_ids, dtype=np.int64),
         "gen": np.array([[gen[gi, t] for t in range(T)] for gi in range(G)], dtype=np.int64).reshape(G, T),
         "charge": np.array([[chg[si, t] for t in range(T)] for si in range(S)], dtype=np.int64).reshape(S, T),
         "discharge": np.array([[dis[si, t] for t in range(T)] for si in range(S)], dtype=np.int64).reshape(S, T),
@@ -156,6 +144,8 @@ def _meta(instance: ProblemInstance, T: int, n_scenarios: int) -> dict:
         "storages": [s.id for s in instance.storages],
         "e_initial": [s.e_initial for s in instance.storages],
         "n_scenarios": n_scenarios,
+        "objective_offset": 0.0,
+        "grid_shift": np.zeros(T),
     }
 
 
@@ -166,7 +156,8 @@ def extract_plan(solution: LPSolution, lp: LinearProgram) -> DispatchPlan:
     The repair nets the two flows per (storage, step) and rebuilds the SOC
     recursion from the netted flows, so bounds, dynamics and objective are
     untouched while one of the pair becomes exactly zero.  For stochastic
-    programs the reported grid draw is the scenario average.
+    programs the reported grid draw is the scenario average: the solved
+    draw at the minimum district load plus ``meta["grid_shift"]``.
     """
     if solution.status != "optimal":
         raise ValueError(f"cannot extract a plan from a {solution.status} solution")
@@ -176,7 +167,7 @@ def extract_plan(solution: LPSolution, lp: LinearProgram) -> DispatchPlan:
     x = solution.x
     columns = meta["columns"]
 
-    p_grid = x[columns["grid"]].mean(axis=0)
+    p_grid = x[columns["grid"]] + meta["grid_shift"]
     p_gen = x[columns["gen"]].reshape(len(gens), T)
     raw_chg = x[columns["charge"]].reshape(len(stores), T)
     raw_dis = x[columns["discharge"]].reshape(len(stores), T)

@@ -2,8 +2,8 @@
 
 A LinearProgram stores the objective, a sparse triplet constraint matrix,
 two-sided row and column bounds, and a name table mapping every column to
-(quantity, device, timestamp, scenario) so solutions can be mapped back to
-dispatch series.  The MPS writer produces a fixed-layout file any external
+(quantity, device, timestamp) so solutions can be mapped back to dispatch
+series.  The MPS writer produces a fixed-layout file any external
 LP solver can read, for hand cross-checks.
 """
 
@@ -21,16 +21,12 @@ class ColumnName:
     quantity: str  # grid | gen | charge | discharge | soc
     device: str
     timestamp: int
-    scenario: int = -1  # -1 marks a here-and-now variable
 
     def label(self) -> str:
         base = f"{self.quantity}"
         if self.device:
             base += f".{self.device}"
-        base += f".t{self.timestamp}"
-        if self.scenario >= 0:
-            base += f".s{self.scenario}"
-        return base
+        return base + f".t{self.timestamp}"
 
 
 @dataclass

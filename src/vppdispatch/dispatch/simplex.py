@@ -1,24 +1,18 @@
 """Bounded-variable primal simplex with Bland's rule, plus presolve.
 
-The solver keeps an explicit dense basis inverse (adequate at the problem
-sizes reached after presolve) and pivots with Bland's smallest-index rule,
-which is deterministic and cannot cycle.  Phase 1 adds artificial columns
-for rows whose logical starts outside its bounds and minimizes their sum
-with the same machinery.
+The solver keeps an explicit dense basis inverse (adequate at the dispatch
+program sizes, which do not grow with the scenario count) and pivots with
+Bland's smallest-index rule, which is deterministic and cannot cycle.
+Phase 1 adds artificial columns for rows whose logical starts outside its
+bounds and minimizes their sum with the same machinery.
 
-Presolve performs two safe reductions before the simplex runs and undoes
-them afterwards:
-
-* a column appearing in exactly one equality row is substituted out, the
-  row turning into a range constraint on the remaining terms;
-* rows with identical coefficient patterns collapse to one row with
-  intersected bounds.
-
-Scenario-indexed grid-draw columns are exactly such singletons and the
-per-scenario balance rows become parallel after substitution, so the
-reduced program size is independent of the scenario count.  Solutions and
-objective values are identical with presolve on or off (the tests check
-both paths).
+Presolve performs one safe reduction before the simplex runs and undoes it
+afterwards: a column appearing in exactly one equality row is substituted
+out, the row turning into a range constraint on the remaining terms.  The
+grid-draw column of every balance row is such a singleton.  Rows left
+empty are checked against their bounds and dropped.  Solutions and
+objective values agree with presolve on or off (the tests check both
+paths).
 """
 
 from __future__ import annotations
@@ -245,9 +239,8 @@ class _Eliminations:
 def _presolve(lp: LinearProgram, tol: float):
     """Reduce the LP; returns None if presolve already proves infeasibility.
 
-    Works on triplets sorted by (row, col) so the per-row passes are plain
-    array slices; the model builders emit tens of thousands of scenario
-    rows and a dict-based pass would dominate the whole solve.
+    Works on triplets sorted by (row, col), so every pass is a whole-array
+    operation.
     """
     n, m = lp.n_cols, lp.n_rows
     order = np.lexsort((lp.a_cols, lp.a_rows))
@@ -306,41 +299,21 @@ def _presolve(lp: LinearProgram, tol: float):
         z = np.zeros(0, dtype=np.int64)
         eliminations = _Eliminations(z, np.zeros(0), np.zeros(0), z, z, z, np.zeros(0))
 
-    # merge parallel rows (identical coefficient signature) by intersecting
-    # bounds; signatures hash the sorted (col, val) byte patterns
-    row_starts = np.searchsorted(rows, np.arange(m))
-    row_ends = np.searchsorted(rows, np.arange(m) + 1)
-    keep_rows: list[int] = []
-    seen: dict[bytes, int] = {}
-    for r in range(m):
-        lo_r, hi_r = row_starts[r], row_ends[r]
-        if lo_r == hi_r:
-            if row_lo[r] > tol or row_up[r] < -tol:
-                return None
-            continue
-        key = cols[lo_r:hi_r].tobytes() + vals[lo_r:hi_r].tobytes()
-        if key in seen:
-            k = seen[key]
-            row_lo[k] = max(row_lo[k], row_lo[r])
-            row_up[k] = min(row_up[k], row_up[r])
-        else:
-            seen[key] = r
-            keep_rows.append(r)
-    for r in keep_rows:
-        if row_lo[r] > row_up[r] + tol:
-            return None
-        if row_lo[r] > row_up[r]:
-            row_lo[r] = row_up[r]
+    # rows left without entries drop out once zero activity is checked
+    # against their bounds
+    nonempty = np.zeros(m, dtype=bool)
+    nonempty[rows] = True
+    if np.any(~nonempty & ((row_lo > tol) | (row_up < -tol))):
+        return None
 
     kept_cols = np.flatnonzero(~removed_col)
     col_map = np.full(n, -1, dtype=np.int64)
     col_map[kept_cols] = np.arange(kept_cols.size)
-    keep_idx = np.asarray(keep_rows, dtype=np.int64)
+    keep_idx = np.flatnonzero(nonempty)
     row_map = np.full(m, -1, dtype=np.int64)
     row_map[keep_idx] = np.arange(keep_idx.size)
     A = np.zeros((keep_idx.size, kept_cols.size))
-    tri_keep = row_map[rows] >= 0
-    A[row_map[rows[tri_keep]], col_map[cols[tri_keep]]] = vals[tri_keep]
+    A[row_map[rows], col_map[cols]] = vals
     return (
         A,
         row_lo[keep_idx],

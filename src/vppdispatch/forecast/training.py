@@ -242,19 +242,29 @@ def predict(model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t: in
 
 
 def estimate_variance(
-    model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t_start: int, t_end: int
+    model: ForecastModel,
+    history: np.ndarray,
+    calendar: TimeGrid,
+    t_start: int,
+    t_end: int,
+    windows: list | None = None,
 ) -> UncertaintyEstimate:
     """Empirical residual spread per horizon step over validation windows.
 
     Windows start at every step in [t_start, t_end - horizon]; at least two
-    are required for the spread to be defined.
+    are required for the spread to be defined.  If ``windows`` is given,
+    each window's ``(actual, predicted)`` pair is appended to it, so callers
+    can score the same forecasts without predicting again.
     """
     H = model.spec.horizon
     starts = range(max(t_start, model.spec.lag_K), t_end - H + 1)
     residuals = []
     for t in starts:
         pred = predict(model, history, calendar, t, H)
-        residuals.append(np.asarray(history[t : t + H]) - pred)
+        actual = np.asarray(history[t : t + H])
+        residuals.append(actual - pred)
+        if windows is not None:
+            windows.append((actual, pred))
     if len(residuals) < 2:
         raise ValueError(f"need at least 2 validation windows, got {len(residuals)}")
     R = np.stack(residuals)

@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from vppdispatch.controller import (
     ControllerConfig,
+    ModelProvider,
     Split,
     run_mpc,
     run_no_storage,
@@ -167,6 +170,37 @@ class TestEpisodeEngine:
             ControllerConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             ControllerConfig(forecaster="gbdt")
+
+
+class TestDivergingFineTune:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_update_keeps_previous_model(self, caplog):
+        inst = generate_synthetic(SyntheticSpec(
+            days=6, n_buildings=1, noise_load=0.05, noise_solar=0.1,
+            battery_hours=4.0, battery_c_rate=0.25, seed=11,
+        ))
+        split = Split(train_end=3 * 24, val_end=4 * 24)
+        cfg = ControllerConfig(
+            seed=3, n_scenarios=4, forecaster="recurrent", hidden_dim=4,
+            train=TrainConfig(epochs=3, seed=0),
+            finetune=TrainConfig(epochs=3, learning_rate=1e200, seed=0),  # overflows at once
+            scheme=UpdateScheme("smalllr"), T_ft=24, finetune_cooldown=24, val_window=48,
+        )
+        provider = ModelProvider(inst, split, cfg)
+        provider.pretrain()
+        bundle = provider.bundle()
+        with caplog.at_level(logging.WARNING, logger="vppdispatch"):
+            ep = run_sofo(inst, split, cfg, pretrained=bundle)
+
+        assert ep.steps == inst.n_steps - split.val_end
+        assert ep.fine_tune_steps == [23, 47]
+        # solar and load are recurrent and diverge; the linear price model refits
+        assert ep.finetune_divergences == 4
+        for key in ("solar", "load:0"):
+            for name, value in bundle.models[key].net.params.items():
+                assert np.array_equal(ep.models[key].net.params[name], value), (key, name)
+        warned = [r for r in caplog.records if r.levelno == logging.WARNING and r.name.startswith("vppdispatch")]
+        assert len(warned) == 4 and "diverged" in warned[0].getMessage()
 
 
 class TestNoStorageBaseline:

@@ -16,9 +16,11 @@ from vppdispatch.dispatch import (
     extract_plan,
     solve_lp,
 )
+from vppdispatch.dispatch.lp import LPSolution
 from vppdispatch.scenario import Forecasts, ScenarioSet, Uncertainty, sample_scenarios
+from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
 
-from oracles import arbitrage_grid_search
+from oracles import arbitrage_grid_search, expand_stochastic, reduce_program
 
 
 def _instance(loads, solar=None, price=None, storage=None, gen_cap=100.0):
@@ -142,6 +144,72 @@ class TestStochasticBuild:
         assert np.allclose(plan.p_charge, plan2.p_charge, atol=1e-6)
         assert np.allclose(plan.p_discharge, plan2.p_discharge, atol=1e-6)
         assert np.allclose(plan.p_gen, plan2.p_gen, atol=1e-6)
+
+
+class TestCollapseAgainstExpansion:
+    """The collapsed program against the N*T two-stage program written out.
+
+    The expansion is reduced by a textbook presolve (singleton substitution
+    plus merging identical rows) and solved with the same simplex, so the
+    two solves walk the same pivot path and their plans agree bit for bit.
+    """
+
+    WINDOWS = (0, 19, 42, 67)
+    COUNTS = (1, 10, 75, 300)
+
+    @pytest.fixture(scope="class")
+    def district(self):
+        return generate_synthetic(SyntheticSpec(
+            days=4, n_buildings=2, noise_price=0.05, pv_scale=1.8,
+            battery_hours=4.0, battery_c_rate=0.15, seed=21,
+        ))
+
+    def _scenarios(self, inst, N, seed):
+        unc = Uncertainty(solar=np.full(24, 0.2), load=np.full(24, 0.15), price=np.full(24, 0.02))
+        return sample_scenarios(_forecasts(inst), unc, N=N, seed=seed)
+
+    def test_plans_and_objectives_match(self, district):
+        for start in self.WINDOWS:
+            inst = district.slice(start, 24)
+            for N in self.COUNTS:
+                scen = self._scenarios(inst, N, seed=start + N)
+                collapse = build_stochastic(inst, scen)
+                expansion = expand_stochastic(inst, scen)
+                reduced, recover = reduce_program(expansion)
+                # the same reduction of both programs leaves the same program
+                collapse_reduced, _ = reduce_program(collapse)
+                for part in ("c", "a_rows", "a_cols", "a_vals", "row_lo", "row_up", "col_lo", "col_up"):
+                    assert np.array_equal(getattr(collapse_reduced, part), getattr(reduced, part)), (start, N, part)
+                sol = solve_lp(collapse)
+                ref = solve_lp(reduced)
+                assert sol.status == ref.status == "optimal", (start, N)
+                x_exp = recover(ref.x)
+
+                # the expansion's solution in the collapse's column layout
+                position = {nm: j for j, nm in enumerate(expansion.col_names)}
+                shared = [j for j, nm in enumerate(collapse.col_names) if nm.quantity != "grid"]
+                x_map = np.zeros(collapse.n_cols)
+                x_map[shared] = x_exp[[position[collapse.col_names[j]] for j in shared]]
+                plan = extract_plan(sol, collapse)
+                ref_plan = extract_plan(LPSolution("optimal", x_map, np.nan, 0), collapse)
+                for field in ("p_charge", "p_discharge", "soc", "p_gen"):
+                    assert np.array_equal(getattr(plan, field), getattr(ref_plan, field)), (start, N, field)
+                draws = x_exp[expansion.meta["grid"]]
+                assert np.allclose(plan.p_grid, draws.mean(axis=0), rtol=0, atol=1e-9), (start, N)
+
+                expected = float(expansion.c @ x_exp)
+                got = sol.objective + collapse.meta["objective_offset"]
+                assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected)), (start, N, got, expected)
+
+    def test_size_is_independent_of_scenario_count(self, district):
+        def size(lp):
+            return lp.n_rows, lp.n_cols, lp.a_vals.size
+
+        for start in self.WINDOWS:
+            inst = district.slice(start, 24)
+            one = size(build_stochastic(inst, self._scenarios(inst, 1, seed=start)))
+            wide = size(build_stochastic(inst, self._scenarios(inst, 300, seed=start)))
+            assert one == wide == size(build_deterministic(inst, _forecasts(inst)))
 
 
 class TestExtractPlan:
