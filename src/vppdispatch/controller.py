@@ -241,8 +241,13 @@ class ModelProvider:
                 series_windows: list = []
                 try:
                     est = estimate_variance(model, series, self.grid, t_start, t_end, series_windows)
-                except ValueError:
-                    continue  # a series with fewer than two windows enters neither figure
+                except ValueError as exc:
+                    # a series with fewer than two windows enters neither figure
+                    logger.debug(
+                        "sigma of %s skips a series: %d validation windows in [%d, %d) (%s)",
+                        key, len(series_windows), t_start, t_end, exc,
+                    )
+                    continue
                 residual_sets.append(est.sigma)
                 windows += series_windows
             if residual_sets:

@@ -5,7 +5,10 @@ The recurrent cell uses the standard update/reset gating; the readout is a
 single affine map from the final hidden state to one value per horizon
 step.  Gradients are hand-derived backpropagation through time and are
 pinned against central finite differences in the tests, so any change here
-must keep them exact.
+must keep them exact.  The gates' logistic function is branch-free and
+gives the same bits as the two-branch stable form; ``mse`` is the one
+definition of the training loss, shared by ``loss_and_grads`` and the
+per-epoch loss that training logs from a forward pass alone.
 """
 
 from __future__ import annotations
@@ -16,16 +19,25 @@ import numpy as np
 
 PARAM_NAMES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc", "Wo", "bo")
 CELL_PARAMS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc")
-READOUT_PARAMS = ("Wo", "bo")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow and without boolean indexing.
+
+    ``z = exp(-|x|)`` is ``exp(-x)`` for x >= 0 and ``exp(x)`` for x < 0, so
+    this is ``1 / (1 + exp(-x))`` and ``exp(x) / (1 + exp(x))`` on the two
+    sides, the textbook stable form, bit for bit; one division over the
+    whole array is cheaper than masking on these small arrays.
+    """
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+
+
+def mse(prediction: np.ndarray, targets: np.ndarray) -> float:
+    """Mean squared error, the training loss; an overflow reads as inf."""
+    diff = prediction - targets
+    with np.errstate(over="ignore"):  # divergence shows up as inf and is reported upstream
+        return float(np.mean(diff * diff))
 
 
 @dataclass
@@ -162,17 +174,6 @@ class RecurrentNet:
         cache: list = []
         y, h = self.forward(sequences, cache)
         diff = y - targets
-        with np.errstate(over="ignore"):  # divergence shows up as inf and is reported upstream
-            loss = float(np.mean(diff * diff))
         d_y = 2.0 * diff / diff.size
-        return loss, self.backward(cache, d_y, h)
+        return mse(y, targets), self.backward(cache, d_y, h)
 
-
-def forward_recurrent(net: RecurrentNet, sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sequence convenience wrapper: per-horizon-step predictions and
-    the final hidden state."""
-    seq = np.asarray(sequence, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ValueError(f"expected a (K, input_dim) sequence, got shape {seq.shape}")
-    y, h = net.forward(seq[None, :, :])
-    return y[0], h[0]

@@ -28,7 +28,7 @@ from .features import (
     window_dataset_linear,
     window_dataset_recurrent,
 )
-from .models import CELL_PARAMS, PARAM_NAMES, LinearAR, RecurrentNet
+from .models import CELL_PARAMS, PARAM_NAMES, LinearAR, RecurrentNet, mse
 
 TARGETS = ("solar_capacity", "load", "price")
 FLOORED_TARGETS = ("solar_capacity", "load")
@@ -36,8 +36,8 @@ SCHEME_KINDS = ("noft", "selfadapt", "scratch", "smalllr", "freeze")
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, epoch: int):
-        super().__init__(f"training loss became non-finite at epoch {epoch}")
+    def __init__(self, epoch: int, detail: str = "became non-finite"):
+        super().__init__(f"training loss {detail} at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -155,12 +155,17 @@ def _gd_train(
     learning_rate: float,
     trainable: tuple[str, ...] = PARAM_NAMES,
 ) -> list[float]:
-    """Mini-batch gradient descent on normalized data; returns loss per epoch
-    (index 0 is the pre-update loss)."""
+    """Mini-batch gradient descent on normalized data; returns the
+    full-dataset loss per epoch (index 0 is the pre-update loss).
+
+    Raises ``DivergenceError`` when a loss becomes non-finite, or when the
+    final loss ends above the pre-update one: the weights exploded even if
+    they stayed finite.
+    """
     rng = np.random.default_rng(hyper.seed)
     n = X.shape[0]
     batch = min(hyper.batch_size, n)
-    losses = [net.loss_and_grads(X, Y)[0]]
+    losses = [mse(net.forward(X)[0], Y)]
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
@@ -170,9 +175,11 @@ def _gd_train(
                 raise DivergenceError(epoch)
             for name in trainable:
                 net.params[name] -= learning_rate * grads[name]
-        losses.append(net.loss_and_grads(X, Y)[0])
+        losses.append(mse(net.forward(X)[0], Y))
         if not np.isfinite(losses[-1]):
             raise DivergenceError(epoch)
+    if losses[-1] > losses[0]:
+        raise DivergenceError(hyper.epochs - 1, f"rose from {losses[0]:.3g} to {losses[-1]:.3g}")
     return losses
 
 

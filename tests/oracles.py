@@ -5,7 +5,10 @@ package: central finite differences for gradients, dense vertex
 enumeration for linear programs, grid search for the two-step battery
 arbitrage problem, and the two-stage dispatch program written out with one
 balance row and one grid column per scenario and step (only the package's
-LP container is used to hold it).
+LP container is used to hold it).  The recurrent input sequence is built
+one row per lag through the scalar ``build_features``, and the logistic
+function is the boolean-mask form; the package's vectorized versions must
+match both bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 import numpy as np
 
 from vppdispatch.dispatch import ColumnName, LinearProgram, LPBuilder
+from vppdispatch.forecast import InsufficientHistoryError, build_features
 
 
 def finite_difference_grads(net, sequences, targets, step: float = 1e-5) -> dict:
@@ -40,6 +44,29 @@ def finite_difference_grads(net, sequences, targets, step: float = 1e-5) -> dict
             gflat[i] = (up - down) / (2 * step)
         grads[name] = g
     return grads
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Stable logistic function, one branch per sign through boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def recurrent_sequence_rows(history, calendar, t: int, K: int) -> np.ndarray:
+    """The (K, 7) recurrent input sequence ending at step t, one
+    ``build_features`` call per lag."""
+    history = np.asarray(history, dtype=np.float64)
+    if t - K < 0:
+        raise InsufficientHistoryError(f"need {K} observations before step {t}")
+    rows = []
+    for s in range(t - K + 1, t + 1):
+        fv = build_features(history, calendar, s, 1)
+        rows.append(np.concatenate([fv.lag_features, fv.time_features]))
+    return np.stack(rows, axis=0)
 
 
 def _side_grid(pairs: list[list[float]]) -> np.ndarray:

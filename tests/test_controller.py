@@ -112,6 +112,22 @@ def _trained_setup(days=12, drift=None):
     return inst, split, cfg
 
 
+class TestSigmaEstimation:
+    def test_series_without_two_windows_is_skipped_and_logged(self, caplog):
+        inst, _, cfg = _trained_setup()
+        split = Split(train_end=7 * 24, val_end=8 * 24)  # one 24-step validation window
+        provider = ModelProvider(inst, split, cfg)
+        with caplog.at_level(logging.DEBUG, logger="vppdispatch.controller"):
+            provider.pretrain()
+        skipped = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(skipped) == len(provider.specs)
+        assert all(": 1 validation windows in [168, 192)" in m for m in skipped)
+        assert {m.split()[2] for m in skipped} == set(provider.specs)
+        for key in provider.specs:
+            assert np.array_equal(provider.sigma[key].sigma, np.zeros(cfg.horizon_T))
+            assert provider.val_wmape[key] == 0.0
+
+
 class TestEpisodeEngine:
     def test_noft_leaves_models_identical(self):
         inst, split, cfg = _trained_setup()
@@ -201,6 +217,35 @@ class TestDivergingFineTune:
                 assert np.array_equal(ep.models[key].net.params[name], value), (key, name)
         warned = [r for r in caplog.records if r.levelno == logging.WARNING and r.name.startswith("vppdispatch")]
         assert len(warned) == 4 and "diverged" in warned[0].getMessage()
+
+    def test_exploding_but_finite_update_keeps_previous_model(self, caplog):
+        # one GRU (a district without PV), fine-tuned once at a learning rate
+        # that blows its weights up to ~1e91 while the loss stays finite
+        inst = generate_synthetic(SyntheticSpec(
+            days=6, n_buildings=1, noise_load=0.05, noise_solar=0.1,
+            battery_hours=4.0, battery_c_rate=0.25, seed=11,
+        ))
+        inst = replace(inst, generators=())
+        split = Split(train_end=inst.n_steps - 64, val_end=inst.n_steps - 40)
+        cfg = ControllerConfig(
+            seed=3, n_scenarios=4, forecaster="recurrent", hidden_dim=4,
+            train=TrainConfig(epochs=3, seed=0),
+            finetune=TrainConfig(epochs=3, learning_rate=1e12, seed=0),
+            scheme=UpdateScheme("smalllr"), T_ft=24, finetune_cooldown=24, val_window=48,
+        )
+        provider = ModelProvider(inst, split, cfg)
+        provider.pretrain()
+        bundle = provider.bundle()
+        with caplog.at_level(logging.WARNING, logger="vppdispatch"):
+            ep = run_sofo(inst, split, cfg, pretrained=bundle)
+
+        assert ep.steps == 40 and ep.fine_tune_steps == [23]
+        assert ep.finetune_divergences == 1
+        for name, value in bundle.models["load:0"].net.params.items():
+            assert np.array_equal(ep.models["load:0"].net.params[name], value), name
+        warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warned) == 1 and "load:0" in warned[0] and "rose" in warned[0]
+        assert ep.wmape_by_target["load"] < 1.0
 
 
 class TestNoStorageBaseline:

@@ -13,6 +13,8 @@ from vppdispatch.forecast import (
     window_dataset_recurrent,
 )
 
+from oracles import recurrent_sequence_rows
+
 
 def test_hour_zero_encoding():
     grid = TimeGrid(0, 48)
@@ -74,3 +76,55 @@ def test_window_datasets_align():
     Xr, Yr = window_dataset_recurrent(history, grid, K=4, horizon=6, t_start=0, t_end=40)
     assert Xr.shape == (31, 4, 7) and Yr.shape == (31, 6)
     assert np.array_equal(Yr[0], history[4:10])
+
+
+class TestSequencesMatchRowByRowOracle:
+    """The vectorized recurrent features are the row-by-row ones, bit for bit."""
+
+    HISTORY = np.random.default_rng(7).normal(3.0, 1.5, 1500)
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    # 700 and 8620 put month boundaries (idx // 720) inside the windows,
+    # 8620 also the wrap from month 11 to month 0
+    @pytest.mark.parametrize("start_index", [0, 5, 700, 1439, 8620])
+    def test_recurrent_sequence(self, start_index):
+        grid = TimeGrid(start_index, 1500)
+        for K in (1, 4, 24):
+            for t in [K, K + 1, 23, 24, 25, 700, 719, 720, 721, 1307, 1499, 1500]:
+                if t < K:
+                    continue
+                got = recurrent_sequence(self.HISTORY, grid, t, K)
+                ref = recurrent_sequence_rows(self.HISTORY, grid, t, K)
+                assert got.shape == ref.shape == (K, 7)
+                assert np.array_equal(self._bits(got), self._bits(ref)), (start_index, K, t)
+
+    @pytest.mark.parametrize("start_index", [0, 700, 8620])
+    def test_window_dataset_recurrent(self, start_index):
+        grid = TimeGrid(start_index, 1500)
+        for K, horizon, t_start, t_end in [(24, 24, 0, 1300), (4, 6, 10, 60), (24, 24, 24, 48), (3, 1, 700, 760)]:
+            X, Y = window_dataset_recurrent(self.HISTORY, grid, K, horizon, t_start, t_end)
+            starts = range(max(t_start, K), t_end - horizon + 1)
+            X_ref = np.stack([recurrent_sequence_rows(self.HISTORY, grid, t, K) for t in starts])
+            Y_ref = np.stack([self.HISTORY[t : t + horizon] for t in starts])
+            assert X.shape == X_ref.shape and Y.shape == Y_ref.shape
+            # layout matters too: reductions over X sum in memory order
+            assert X.flags.c_contiguous and Y.flags.c_contiguous
+            assert np.array_equal(self._bits(X), self._bits(X_ref))
+            assert np.array_equal(self._bits(Y), self._bits(Y_ref))
+
+    def test_range_errors(self):
+        grid = TimeGrid(0, 48)
+        history = np.arange(30.0)
+        with pytest.raises(InsufficientHistoryError):
+            recurrent_sequence(history, grid, t=3, K=4)
+        with pytest.raises(InsufficientHistoryError):
+            recurrent_sequence(history, grid, t=31, K=4)
+        with pytest.raises(ValueError):
+            recurrent_sequence(history, grid, t=10, K=0)
+        with pytest.raises(InsufficientHistoryError):
+            window_dataset_recurrent(history, grid, K=4, horizon=6, t_start=0, t_end=9)
+        with pytest.raises(InsufficientHistoryError):
+            window_dataset_recurrent(history, grid, K=4, horizon=6, t_start=0, t_end=31)

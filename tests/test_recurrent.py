@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from vppdispatch.forecast import RecurrentNet, forward_recurrent
-from vppdispatch.forecast.models import CELL_PARAMS, PARAM_NAMES
+from vppdispatch.forecast import RecurrentNet
+from vppdispatch.forecast.models import CELL_PARAMS, PARAM_NAMES, _sigmoid
 
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, masked_sigmoid
 
 
 def test_zero_weights_output_equals_readout_bias():
@@ -12,15 +12,16 @@ def test_zero_weights_output_equals_readout_bias():
     for name in PARAM_NAMES:
         net.params[name][:] = 0.0
     net.params["bo"][:] = np.arange(5.0)
-    y, h = forward_recurrent(net, np.random.default_rng(0).standard_normal((6, 3)))
-    assert np.array_equal(y, np.arange(5.0))
-    assert np.array_equal(h, np.zeros(4))
+    y, h = net.forward(np.random.default_rng(0).standard_normal((6, 3))[None])
+    assert np.array_equal(y[0], np.arange(5.0))
+    assert np.array_equal(h[0], np.zeros(4))
 
 
 def test_single_step_sequence_is_one_cell_application():
     net = RecurrentNet(2, 3, 2, seed=1)
     x = np.array([[0.5, -0.3]])
-    y, h = forward_recurrent(net, x)
+    y, h = net.forward(x[None])
+    y, h = y[0], h[0]
     p = net.params
 
     def sigmoid(v):
@@ -38,7 +39,7 @@ def test_single_step_sequence_is_one_cell_application():
 def test_forward_rejects_bad_shapes():
     net = RecurrentNet(3, 4, 2, seed=0)
     with pytest.raises(ValueError):
-        forward_recurrent(net, np.zeros((5, 2)))
+        net.forward(np.zeros((5, 2))[None])
     with pytest.raises(ValueError):
         net.forward(np.zeros((2, 0, 3)))
 
@@ -68,3 +69,17 @@ def test_copy_is_independent():
 
 def test_cell_and_readout_partition():
     assert set(CELL_PARAMS) | {"Wo", "bo"} == set(PARAM_NAMES)
+
+
+def test_sigmoid_matches_masked_form_bitwise():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2],
+        rng.standard_normal(100_000),
+        rng.normal(0.0, 30.0, 10_000),
+    ])
+    for arr in (x, x.reshape(-1, 10), x[:16].reshape(1, 16), x[10:74].reshape(4, 16)):
+        got = _sigmoid(arr)
+        ref = masked_sigmoid(arr)
+        assert got.shape == arr.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))

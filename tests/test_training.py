@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from vppdispatch.forecast import (
     save_model,
     train,
 )
-from vppdispatch.forecast.models import CELL_PARAMS
+from vppdispatch.forecast.models import CELL_PARAMS, RecurrentNet
+from vppdispatch.forecast.training import _gd_train
 
 
 GRID = TimeGrid(0, 24 * 30)
@@ -103,6 +106,30 @@ class TestTrainRecurrent:
         X, Y = make_dataset(spec, series, GRID, 0, 24 * 10)
         with pytest.raises(DivergenceError):
             train(spec, (X, Y), TrainConfig(epochs=200, learning_rate=1e4, batch_size=32, seed=0))
+
+    def test_logged_losses_are_the_full_dataset_loss(self):
+        series = _sinusoid() + np.random.default_rng(1).normal(0, 0.2, 24 * 30)
+        X, Y = make_dataset(_recurrent_spec(hidden=4), series, GRID, 0, 24 * 6)
+        norm = Normalization.fit(X, Y)
+        Xn, Yn = norm.norm_x(X), norm.norm_y(Y)
+        net = RecurrentNet(7, 4, 24, seed=2)
+        hyper = TrainConfig(epochs=3, learning_rate=0.1, batch_size=16, seed=4)
+        logged = _gd_train(net.copy(), Xn, Yn, hyper, hyper.learning_rate)
+        assert len(logged) == 4
+        for epochs in range(4):  # the same seed replays the same first epochs
+            trained = net.copy()
+            _gd_train(trained, Xn, Yn, replace(hyper, epochs=epochs), hyper.learning_rate)
+            assert logged[epochs] == trained.loss_and_grads(Xn, Yn)[0]
+
+    def test_exploding_finite_weights_raise(self):
+        series = _sinusoid()
+        spec = _recurrent_spec(hidden=4)
+        X, Y = make_dataset(spec, series, GRID, 0, 24 * 10)
+        model = train(spec, (X, Y), TrainConfig(epochs=3, seed=0))
+        online = OnlineData(history=series, calendar=GRID, now=24 * 12, online_window=40)
+        hyper = TrainConfig(epochs=3, learning_rate=1e12, seed=0)
+        with pytest.raises(DivergenceError, match="rose"):
+            apply_update(model, UpdateScheme("smalllr", lr_multiplier=1.0), online, hyper)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
