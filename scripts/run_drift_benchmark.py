@@ -6,10 +6,7 @@ directory (default ``out/drift``), then prints the normalized scores.
 
 import argparse
 
-import numpy as np
-
-from vppdispatch.benchmark import run_benchmark
-from vppdispatch.evaluate import normalize
+from vppdispatch.benchmark import run_benchmark, seed_stats
 from vppdispatch.presets import drift_benchmark_config
 
 
@@ -21,17 +18,11 @@ def main() -> None:
     seeds = tuple(int(s) for s in args.seeds.split(","))
 
     result = run_benchmark(drift_benchmark_config(args.out, seeds=seeds))
-    base = result.baseline.costs
     print(f"{'controller':14s} {'average':>8s} {'emission':>9s} {'price':>8s} {'grid':>8s}")
     names = sorted({k[0] for k in result.episodes if k[2] is None})
     for name in names:
-        scores = [normalize(result.episodes[(name, s, None)].costs, base) for s in seeds]
-        print(
-            f"{name:14s} {np.mean([x.average for x in scores]):8.4f} "
-            f"{np.mean([x.emission for x in scores]):9.4f} "
-            f"{np.mean([x.price for x in scores]):8.4f} "
-            f"{np.mean([x.grid for x in scores]):8.4f}"
-        )
+        mean, _ = seed_stats(result, name, seeds)
+        print(f"{name:14s} {mean.average:8.4f} {mean.emission:9.4f} {mean.price:8.4f} {mean.grid:8.4f}")
     print(f"\nreports under {result.out_dir}")
 
 

@@ -6,10 +6,7 @@ reports the mean and spread of the average score per count.
 
 import argparse
 
-import numpy as np
-
-from vppdispatch.benchmark import run_benchmark
-from vppdispatch.evaluate import normalize
+from vppdispatch.benchmark import run_benchmark, seed_stats
 from vppdispatch.presets import sweep_config
 
 
@@ -23,11 +20,10 @@ def main() -> None:
     seeds = tuple(int(s) for s in args.seeds.split(","))
 
     result = run_benchmark(sweep_config(args.out, seeds=seeds, counts=counts))
-    base = result.baseline.costs
     print(f"{'N':>5s} {'mean':>8s} {'std':>8s}")
     for N in counts:
-        vals = [normalize(result.episodes[("sofo", s, N)].costs, base).average for s in seeds]
-        print(f"{N:5d} {np.mean(vals):8.5f} {np.std(vals):8.5f}")
+        mean, std = seed_stats(result, "sofo", seeds, N)
+        print(f"{N:5d} {mean.average:8.5f} {std.average:8.5f}")
     print(f"\nreports under {result.out_dir}")
 
 

@@ -12,8 +12,7 @@ every controller would train the identical models from the identical seed.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +31,11 @@ from .controller import (
 )
 from .dataio import load_dataset, write_csv
 from .domain import ProblemInstance
-from .evaluate import normalize
+from .evaluate import NormalizedScores, normalize
 from .forecast import TrainConfig, UpdateScheme
 from .plots import bar_chart, line_chart
 from .simulator import PerturbationConfig
-from .synthetic import SyntheticSpec, generate_synthetic
+from .synthetic import DriftSpec, SyntheticSpec, generate_synthetic
 
 CONTROLLERS = ("nostorage", "rbc", "mpc", "ampc", "sofo")
 COMPONENT_VARIANTS = ("mpc", "mpc_rolling", "mpc_stochastic", "sofo")
@@ -56,7 +55,6 @@ class RunConfig:
     seeds: tuple[int, ...] = (0,)
     scenario_counts: tuple[int, ...] = ()
     components: bool = True
-    workers: int = 1
 
     def split(self, instance: ProblemInstance) -> Split:
         split = Split(train_end=self.train_days * 24, val_end=(self.train_days + self.val_days) * 24)
@@ -64,34 +62,49 @@ class RunConfig:
         return split
 
 
+def _from_dict(cls, raw: dict, where: str):
+    """``cls(**raw)``, raising ValueError on keys that ``cls`` has no field for."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown config key(s) {', '.join(map(repr, unknown))}")
+    return cls(**raw)
+
+
 def load_run_config(path: str) -> RunConfig:
+    """Read a benchmark config written as JSON, such as ``run_config.json``.
+
+    Raises ValueError naming any key that matches no config field.
+    """
     raw = json.loads(Path(path).read_text())
     if "synthetic" in raw and raw["synthetic"] is not None:
         syn = dict(raw["synthetic"])
         if syn.get("drift") is not None:
-            from .synthetic import DriftSpec
-
-            syn["drift"] = DriftSpec(**syn["drift"])
+            syn["drift"] = _from_dict(DriftSpec, syn["drift"], "synthetic.drift")
         if "peak_hours" in syn:
             syn["peak_hours"] = tuple(syn["peak_hours"])
-        raw["synthetic"] = SyntheticSpec(**syn)
+        raw["synthetic"] = _from_dict(SyntheticSpec, syn, "synthetic")
     if "controller" in raw:
         ctl = dict(raw["controller"])
-        if "scheme" in ctl:
-            ctl["scheme"] = UpdateScheme(**ctl["scheme"]) if isinstance(ctl["scheme"], dict) else UpdateScheme(ctl["scheme"])
+        if isinstance(ctl.get("scheme"), dict):
+            scheme = dict(ctl["scheme"])
+            if "freeze_layers" in scheme:
+                scheme["freeze_layers"] = tuple(scheme["freeze_layers"])
+            ctl["scheme"] = _from_dict(UpdateScheme, scheme, "controller.scheme")
+        elif "scheme" in ctl:
+            ctl["scheme"] = UpdateScheme(ctl["scheme"])
         for k in ("train", "finetune"):
             if k in ctl:
-                ctl[k] = TrainConfig(**ctl[k])
-        raw["controller"] = ControllerConfig(**ctl)
+                ctl[k] = _from_dict(TrainConfig, ctl[k], f"controller.{k}")
+        raw["controller"] = _from_dict(ControllerConfig, ctl, "controller")
     if "perturbation" in raw:
         pert = dict(raw["perturbation"])
         if "efficiency_true" in pert:
             pert["efficiency_true"] = {k: tuple(v) for k, v in pert["efficiency_true"].items()}
-        raw["perturbation"] = PerturbationConfig(**pert)
+        raw["perturbation"] = _from_dict(PerturbationConfig, pert, "perturbation")
     for k in ("controllers", "seeds", "scenario_counts"):
         if k in raw:
             raw[k] = tuple(raw[k])
-    return RunConfig(**raw)
+    return _from_dict(RunConfig, raw, "config")
 
 
 def _dump_config(config: RunConfig, path: Path) -> None:
@@ -152,6 +165,18 @@ class BenchmarkResult:
     files: list[Path] = field(default_factory=list)
 
 
+def seed_stats(
+    result: BenchmarkResult, name: str, seeds, N: int | None = None
+) -> tuple[NormalizedScores, NormalizedScores]:
+    """Mean and standard deviation over ``seeds`` of the normalized scores of
+    the episodes ``(name, seed, N)``, each summed in the order of ``seeds``."""
+    scores = [normalize(result.episodes[(name, s, N)].costs, result.baseline.costs) for s in seeds]
+    columns = {f.name: [getattr(sc, f.name) for sc in scores] for f in fields(NormalizedScores)}
+    mean = NormalizedScores(**{k: float(np.mean(v)) for k, v in columns.items()})
+    std = NormalizedScores(**{k: float(np.std(v)) for k, v in columns.items()})
+    return mean, std
+
+
 def run_benchmark(config: RunConfig) -> BenchmarkResult:
     """Run the controller grid and write every report file.
 
@@ -177,32 +202,16 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
     result.baseline = run_no_storage(instance, split, replace(config.controller, seed=config.seeds[0]))
     base_costs = result.baseline.costs
 
-    jobs: list[tuple] = []
     names = list(dict.fromkeys(list(config.controllers) + (list(COMPONENT_VARIANTS) if config.components else [])))
     for seed in config.seeds:
+        bundle = bundles.get(seed)
         for name in names:
-            jobs.append((name, seed, None))
+            ep = _run_one(name, instance, split, config, seed, bundle and bundle.copy())
+            result.episodes[(name, seed, None)] = ep
         for N in config.scenario_counts:
-            jobs.append(("sofo", seed, N))
-
-    def execute(job):
-        name, seed, N = job
-        cfg_bundle = bundles.get(seed)
-        if N is None:
-            ep = _run_one(name, instance, split, config, seed, cfg_bundle and cfg_bundle.copy())
-        else:
             cfg = replace(config.controller, seed=seed, n_scenarios=N)
-            ep = run_sofo(instance, split, cfg, perturb=config.perturbation, pretrained=cfg_bundle and cfg_bundle.copy())
-        return job, ep
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for job, ep in pool.map(execute, jobs):
-                result.episodes[job] = ep
-    else:
-        for job in jobs:
-            job_key, ep = execute(job)
-            result.episodes[job_key] = ep
+            ep = run_sofo(instance, split, cfg, perturb=config.perturbation, pretrained=bundle and bundle.copy())
+            result.episodes[("sofo", seed, N)] = ep
 
     # ---- summary.csv (normalized scores, one row per controller x seed)
     rows = []
@@ -233,16 +242,10 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
         comp_rows = []
         prev_avg: float | None = None
         for name in COMPONENT_VARIANTS:
-            scores = [normalize(result.episodes[(name, s, None)].costs, base_costs) for s in config.seeds]
-            avg = float(np.mean([s.average for s in scores]))
-            improv = float("nan") if prev_avg is None else (prev_avg - avg) / prev_avg
-            comp_rows.append([
-                name, avg, improv,
-                float(np.mean([s.emission for s in scores])),
-                float(np.mean([s.price for s in scores])),
-                float(np.mean([s.grid for s in scores])),
-            ])
-            prev_avg = avg
+            mean, _ = seed_stats(result, name, config.seeds)
+            improv = float("nan") if prev_avg is None else (prev_avg - mean.average) / prev_avg
+            comp_rows.append([name, mean.average, improv, mean.emission, mean.price, mean.grid])
+            prev_avg = mean.average
         components = out / "components.csv"
         write_csv(components, ["variant", "average", "improv_vs_prev", "emission", "price", "grid"], comp_rows)
         result.files.append(components)
@@ -251,13 +254,11 @@ def run_benchmark(config: RunConfig) -> BenchmarkResult:
     if config.scenario_counts:
         long_rows, stat_rows = [], []
         for N in config.scenario_counts:
-            scores = []
             for seed in config.seeds:
-                ep = result.episodes[("sofo", seed, N)]
-                sc = normalize(ep.costs, base_costs)
+                sc = normalize(result.episodes[("sofo", seed, N)].costs, base_costs)
                 long_rows.append([N, seed, float(sc.average), float(sc.emission), float(sc.price), float(sc.grid)])
-                scores.append(sc.average)
-            stat_rows.append([N, float(np.mean(scores)), float(np.std(scores))])
+            mean, std = seed_stats(result, "sofo", config.seeds, N)
+            stat_rows.append([N, mean.average, std.average])
         sweep = out / "scenario_sweep.csv"
         write_csv(sweep, ["n_scenarios", "seed", "average", "emission", "price", "grid"], long_rows)
         sweep_stats = out / "scenario_sweep_stats.csv"
@@ -296,26 +297,15 @@ def _episode_rows(ep: EpisodeResult, instance, split) -> list:
 
 
 def _render_plots(result: BenchmarkResult, config: RunConfig, names: list[str], out: Path) -> None:
-    base_costs = result.baseline.costs
-    metric_names = ["average", "emission", "price", "grid"]
-    groups = {}
-    for metric in metric_names:
-        vals = []
-        for name in names:
-            scores = [normalize(result.episodes[(name, s, None)].costs, base_costs) for s in config.seeds]
-            vals.append(float(np.mean([getattr(sc, metric) for sc in scores])))
-        groups[metric] = vals
+    metrics = [f.name for f in fields(NormalizedScores)]
+    means = [seed_stats(result, name, config.seeds)[0] for name in names]
+    groups = {m: [getattr(mean, m) for mean in means] for m in metrics}
     bar_chart(str(out / "plots" / "summary.svg"), names, groups, "Normalized cost by controller", "score")
     result.files.append(out / "plots" / "summary.svg")
 
     if config.components:
-        comp_groups = {}
-        for metric in metric_names:
-            vals = []
-            for name in COMPONENT_VARIANTS:
-                scores = [normalize(result.episodes[(name, s, None)].costs, base_costs) for s in config.seeds]
-                vals.append(float(np.mean([getattr(sc, metric) for sc in scores])))
-            comp_groups[metric] = vals
+        means = [seed_stats(result, name, config.seeds)[0] for name in COMPONENT_VARIANTS]
+        comp_groups = {m: [getattr(mean, m) for mean in means] for m in metrics}
         bar_chart(
             str(out / "plots" / "components.svg"),
             list(COMPONENT_VARIANTS), comp_groups,
@@ -325,25 +315,17 @@ def _render_plots(result: BenchmarkResult, config: RunConfig, names: list[str], 
 
     if config.scenario_counts:
         Ns = np.array(config.scenario_counts, dtype=float)
-        means, los, his = [], [], []
-        for N in config.scenario_counts:
-            scores = [
-                normalize(result.episodes[("sofo", s, N)].costs, base_costs).average
-                for s in config.seeds
-            ]
-            mu, sd = float(np.mean(scores)), float(np.std(scores))
-            means.append(mu)
-            los.append(mu - sd)
-            his.append(mu + sd)
+        stats = [seed_stats(result, "sofo", config.seeds, N) for N in config.scenario_counts]
+        mu = np.array([mean.average for mean, _ in stats])
+        sd = np.array([std.average for _, std in stats])
         line_chart(
             str(out / "plots" / "scenario_sweep.svg"),
-            {"mean": (Ns, np.array(means))},
+            {"mean": (Ns, mu)},
             "Average score vs scenario count", "scenarios", "score",
-            bands={"std": (Ns, np.array(los), np.array(his))},
+            bands={"std": (Ns, mu - sd, mu + sd)},
         )
         result.files.append(out / "plots" / "scenario_sweep.svg")
 
-    first = names[0] if names else None
     for name in names:
         ep = result.episodes[(name, config.seeds[0], None)]
         t = np.arange(ep.steps, dtype=float)

@@ -158,7 +158,11 @@ def _cmd_dispatch(args) -> int:
 def _cmd_benchmark(args) -> int:
     from .benchmark import load_run_config, run_benchmark
 
-    config = load_run_config(args.config)
+    try:
+        config = load_run_config(args.config)
+    except ValueError as exc:
+        print(f"config error: {exc}")
+        return 1
     if args.out:
         config = replace(config, out_dir=args.out)
     if args.seed:

@@ -377,6 +377,12 @@ def _key_salt(key: str) -> int:
 # episode engine
 # ----------------------------------------------------------------------
 
+def _control_window(instance: ProblemInstance, split: Split) -> ProblemInstance:
+    """The steps [split.val_end, end) of ``instance``, over which controllers act."""
+    split.check(instance.n_steps)
+    return instance.slice(split.val_end, instance.n_steps - split.val_end)
+
+
 def _lp_instance(instance: ProblemInstance, t_abs: int, H: int, soc_now: np.ndarray) -> ProblemInstance:
     """Window the instance for planning and pin e_initial at the live SOC."""
     window = instance.slice(t_abs, H)
@@ -400,11 +406,9 @@ def run_episode(
     pretrained: PretrainedBundle | None = None,
 ) -> EpisodeResult:
     """Forecast-and-optimize rolling control over the instance's control window."""
-    split.check(instance.n_steps)
-    control_start = split.val_end
-    control_len = instance.n_steps - control_start
-    control_window = instance.slice(control_start, control_len)
-    sim = Simulator(control_window, perturb)
+    window = _control_window(instance, split)
+    control_start, control_len = split.val_end, window.n_steps
+    sim = Simulator(window, perturb)
 
     if config.forecaster == "oracle":
         provider: OracleProvider | ModelProvider = OracleProvider(instance)
@@ -476,19 +480,38 @@ def run_episode(
 
     loop_seconds = time.perf_counter() - loop_started
     return _finalize(
-        name, config, instance, split, sim, soc_track,
+        name, config, split, window, sim, soc_track,
         provider, lp_fallbacks, dispatch_seconds,
         fine_tune_steps, fine_tune_seconds, loop_seconds,
     )
 
 
+def _run_schedule(
+    name: str,
+    config: ControllerConfig,
+    split: Split,
+    window: ProblemInstance,
+    perturb: PerturbationConfig | None,
+    actions: np.ndarray,
+) -> EpisodeResult:
+    """Apply the fixed ``actions``, shape (steps, n_storages, 2), over the control window."""
+    sim = Simulator(window, perturb)
+    soc_track = np.zeros((len(window.storages), window.n_steps))
+    loop_started = time.perf_counter()
+    for t_rel in range(window.n_steps):
+        sim.step(actions[t_rel])
+        soc_track[:, t_rel] = sim.state.soc
+    loop_seconds = time.perf_counter() - loop_started
+    return _finalize(
+        name, config, split, window, sim, soc_track, OracleProvider(window), 0, [], [], [], loop_seconds
+    )
+
+
 def _finalize(
-    name, config, instance, split, sim, soc_track, provider,
+    name, config, split, window, sim, soc_track, provider,
     lp_fallbacks, dispatch_seconds, fine_tune_steps, fine_tune_seconds, loop_seconds,
 ) -> EpisodeResult:
-    control_start = split.val_end
-    control_len = instance.n_steps - control_start
-    window = instance.slice(control_start, control_len)
+    control_start, control_len = split.val_end, window.n_steps
     consumption = sim.consumption_matrix()
     district = consumption.sum(axis=0)
     costs = cost_breakdown(
@@ -585,29 +608,13 @@ def run_rbc(
 ) -> EpisodeResult:
     """Fixed schedule: charge 10% of capacity 10:00-13:00, discharge it
     16:00-19:00, idle otherwise; the simulator clips what does not fit."""
-    split.check(instance.n_steps)
-    control_start = split.val_end
-    control_len = instance.n_steps - control_start
-    window = instance.slice(control_start, control_len)
-    sim = Simulator(window, perturb)
-    n_storages = len(instance.storages)
-    soc_track = np.zeros((n_storages, control_len))
+    window = _control_window(instance, split)
     hours = window.grid.hour_of_day
-    loop_started = time.perf_counter()
-    for t_rel in range(control_len):
-        actions = np.zeros((n_storages, 2))
-        for i, s in enumerate(instance.storages):
-            if hours[t_rel] in RBC_CHARGE_HOURS:
-                actions[i, 0] = RBC_FRACTION * s.e_max
-            elif hours[t_rel] in RBC_DISCHARGE_HOURS:
-                actions[i, 1] = RBC_FRACTION * s.e_max
-        sim.step(actions)
-        soc_track[:, t_rel] = sim.state.soc
-    loop_seconds = time.perf_counter() - loop_started
-    provider = OracleProvider(instance)
-    return _finalize(
-        "rbc", config, instance, split, sim, soc_track, provider, 0, [], [], [], loop_seconds
-    )
+    rate = RBC_FRACTION * np.array([s.e_max for s in window.storages], dtype=np.float64)
+    actions = np.zeros((window.n_steps, len(window.storages), 2))
+    actions[np.isin(hours, RBC_CHARGE_HOURS), :, 0] = rate
+    actions[np.isin(hours, RBC_DISCHARGE_HOURS), :, 1] = rate
+    return _run_schedule("rbc", config, split, window, perturb, actions)
 
 
 def run_no_storage(
@@ -617,19 +624,6 @@ def run_no_storage(
     perturb: PerturbationConfig | None = None,
 ) -> EpisodeResult:
     """Zero-action baseline used for score normalization."""
-    split.check(instance.n_steps)
-    control_start = split.val_end
-    control_len = instance.n_steps - control_start
-    window = instance.slice(control_start, control_len)
-    sim = Simulator(window, perturb)
-    n_storages = len(instance.storages)
-    soc_track = np.zeros((n_storages, control_len))
-    loop_started = time.perf_counter()
-    for t_rel in range(control_len):
-        sim.step(np.zeros((n_storages, 2)))
-        soc_track[:, t_rel] = sim.state.soc
-    loop_seconds = time.perf_counter() - loop_started
-    provider = OracleProvider(instance)
-    return _finalize(
-        "nostorage", config, instance, split, sim, soc_track, provider, 0, [], [], [], loop_seconds
-    )
+    window = _control_window(instance, split)
+    actions = np.zeros((window.n_steps, len(window.storages), 2))
+    return _run_schedule("nostorage", config, split, window, perturb, actions)

@@ -72,9 +72,6 @@ class LinearProgram:
         np.add.at(A, (self.a_rows, self.a_cols), self.a_vals)
         return A
 
-    def column_index(self) -> dict[str, int]:
-        return {nm.label(): j for j, nm in enumerate(self.col_names)}
-
 
 class LPBuilder:
     """Incremental triplet assembly used by the model builders."""

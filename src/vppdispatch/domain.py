@@ -17,13 +17,11 @@ so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 HOURS_PER_DAY = 24
-HOURS_PER_WEEK = 168
 HOURS_PER_MONTH = 720  # fixed 30-day months
 
 PLAN_TOL = 1e-9
@@ -59,14 +57,6 @@ class TimeGrid:
     @property
     def hour_of_day(self) -> np.ndarray:
         return self.indices % HOURS_PER_DAY
-
-    @property
-    def day_of_week(self) -> np.ndarray:
-        return (self.indices // HOURS_PER_DAY) % 7
-
-    @property
-    def month_of_year(self) -> np.ndarray:
-        return (self.indices // HOURS_PER_MONTH) % 12
 
     @property
     def month_index(self) -> np.ndarray:
@@ -314,87 +304,3 @@ def validate_plan(
             v.append(f"soc[{i}]: dynamics inconsistent with charge/discharge")
 
     return v
-
-
-# ----------------------------------------------------------------------
-# Structured text serialization (JSON)
-# ----------------------------------------------------------------------
-
-def instance_to_dict(instance: ProblemInstance) -> dict:
-    return {
-        "grid": {
-            "start_index": instance.grid.start_index,
-            "horizon_T": instance.grid.horizon_T,
-            "step_hours": instance.grid.step_hours,
-        },
-        "buildings": [
-            {"id": b.id, "load": b.load.tolist(), "solar_capacity": b.solar_capacity.tolist()}
-            for b in instance.buildings
-        ],
-        "generators": [
-            {"id": g.id, "p_min": g.p_min.tolist(), "p_max_capacity": g.p_max_capacity}
-            for g in instance.generators
-        ],
-        "storages": [
-            {
-                "id": s.id,
-                "e_min": s.e_min,
-                "e_max": s.e_max,
-                "p_charge_max": s.p_charge_max,
-                "p_discharge_max": s.p_discharge_max,
-                "e_initial": s.e_initial,
-                "eta_charge": s.eta_charge,
-                "eta_discharge": s.eta_discharge,
-            }
-            for s in instance.storages
-        ],
-        "market": {
-            "price": instance.market.price.tolist(),
-            "carbon_intensity": instance.market.carbon_intensity.tolist(),
-        },
-    }
-
-
-def instance_from_dict(d: dict) -> ProblemInstance:
-    return ProblemInstance(
-        grid=TimeGrid(
-            start_index=int(d["grid"]["start_index"]),
-            horizon_T=int(d["grid"]["horizon_T"]),
-            step_hours=float(d["grid"]["step_hours"]),
-        ),
-        buildings=tuple(
-            BuildingSeries(b["id"], b["load"], b["solar_capacity"]) for b in d["buildings"]
-        ),
-        generators=tuple(
-            GenerationDevice(g["id"], g["p_min"], float(g["p_max_capacity"]))
-            for g in d["generators"]
-        ),
-        storages=tuple(
-            StorageDevice(
-                s["id"],
-                float(s["e_min"]),
-                float(s["e_max"]),
-                float(s["p_charge_max"]),
-                float(s["p_discharge_max"]),
-                float(s["e_initial"]),
-                float(s["eta_charge"]),
-                float(s["eta_discharge"]),
-            )
-            for s in d["storages"]
-        ),
-        market=MarketSeries(d["market"]["price"], d["market"]["carbon_intensity"]),
-    )
-
-
-def encode_instance(instance: ProblemInstance) -> str:
-    """Canonical JSON text for an instance; floats round-trip exactly."""
-    return json.dumps(instance_to_dict(instance), indent=1, sort_keys=True)
-
-
-def decode_instance(text: str) -> ProblemInstance:
-    return instance_from_dict(json.loads(text))
-
-
-def instances_equal(a: ProblemInstance, b: ProblemInstance) -> bool:
-    """Exact (bitwise on floats) equality of two instances."""
-    return instance_to_dict(a) == instance_to_dict(b)

@@ -27,9 +27,6 @@ class CostBreakdown:
     price: float
     grid: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.emission, self.price, self.grid)
-
 
 @dataclass(frozen=True)
 class NormalizedScores:

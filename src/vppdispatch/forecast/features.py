@@ -1,17 +1,14 @@
 """Feature construction for the forecasting models.
 
 A feature vector for step t combines cyclic calendar encodings of t with
-the last K observed values of the target series (strictly before t) and an
-optional aligned exogenous series.  The recurrent models consume sequences
-of single-lag rows instead of one wide vector: row s holds the value at
-s-1 and the calendar of s.  Those rows are built for a whole range of steps
+the last K observed values of the target series (strictly before t).  The
+recurrent models consume sequences of single-lag rows instead of one wide
+vector: row s holds the value at s-1 and the calendar of s.  Those rows are built for a whole range of steps
 at once, and the training windows are strided views over them, copied out
 once; the values are the same bits as building each row on its own.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,20 +18,6 @@ from ..domain import TimeGrid
 
 class InsufficientHistoryError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    time_features: np.ndarray
-    lag_features: np.ndarray
-    exogenous: np.ndarray
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.time_features, self.lag_features, self.exogenous])
-
-    @property
-    def dim(self) -> int:
-        return self.time_features.shape[0] + self.lag_features.shape[0] + self.exogenous.shape[0]
 
 
 def calendar_encoding(grid: TimeGrid, t: int | np.ndarray) -> np.ndarray:
@@ -51,15 +34,10 @@ def calendar_encoding(grid: TimeGrid, t: int | np.ndarray) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)])[[0, 3, 1, 4, 2, 5]]
 
 
-def build_features(
-    history: np.ndarray,
-    calendar: TimeGrid,
-    t: int,
-    K: int,
-    exogenous: np.ndarray | None = None,
-) -> FeatureVector:
-    """Features for predicting from step ``t``: calendar of t plus the K
-    values of ``history`` immediately before t (most recent last)."""
+def build_features(history: np.ndarray, calendar: TimeGrid, t: int, K: int) -> np.ndarray:
+    """Features for predicting from step ``t``, shape (6 + K,): the calendar
+    encoding of t, then the K values of ``history`` immediately before t
+    (most recent last)."""
     history = np.asarray(history, dtype=np.float64)
     if K < 1:
         raise ValueError("lag count K must be >= 1")
@@ -67,9 +45,7 @@ def build_features(
         raise InsufficientHistoryError(
             f"need {K} observations before step {t}, history covers [0, {history.shape[0]})"
         )
-    lags = history[t - K : t]
-    exo = np.asarray(exogenous, dtype=np.float64) if exogenous is not None else np.zeros(0)
-    return FeatureVector(calendar_encoding(calendar, t), lags.copy(), exo)
+    return np.concatenate([calendar_encoding(calendar, t), history[t - K : t]])
 
 
 def _sequence_rows(history: np.ndarray, calendar: TimeGrid, first: int, stop: int) -> np.ndarray:
@@ -109,7 +85,7 @@ def window_dataset_linear(
     """One-step-ahead training pairs for the linear model over [t_start, t_end)."""
     xs, ys = [], []
     for t in range(max(t_start, K), t_end):
-        xs.append(build_features(history, calendar, t, K).concat())
+        xs.append(build_features(history, calendar, t, K))
         ys.append(history[t])
     if not xs:
         raise InsufficientHistoryError("window range produced no training pairs")

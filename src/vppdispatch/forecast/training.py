@@ -229,7 +229,7 @@ def predict(model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t: in
         work = history[:t].copy()
         out = np.empty(horizon_T)
         for h in range(horizon_T):
-            fv = build_features(work, calendar, t + h, spec.lag_K).concat()
+            fv = build_features(work, calendar, t + h, spec.lag_K)
             yn = model.linear.predict(model.norm.norm_x(fv))
             value = float(model.norm.denorm_y(np.array(yn)))
             out[h] = value

@@ -96,15 +96,3 @@ def sample_scenarios(forecasts: Forecasts, uncertainty: Uncertainty, N: int, see
     load = draw(forecasts.load, uncertainty.load, (N,) + forecasts.load.shape)
     return ScenarioSet(solar=solar, load=load, price=price, seed=seed)
 
-
-def scenario_rows(scenarios: ScenarioSet) -> list[tuple[int, str, int, float]]:
-    """Flatten to (scenario, target, step, value) rows for CSV dumps."""
-    rows = []
-    for n in range(scenarios.n_scenarios):
-        for t in range(scenarios.horizon):
-            rows.append((n, "price", t, float(scenarios.price[n, t])))
-            for g in range(scenarios.solar.shape[1]):
-                rows.append((n, f"solar[{g}]", t, float(scenarios.solar[n, g, t])))
-            for u in range(scenarios.load.shape[1]):
-                rows.append((n, f"load[{u}]", t, float(scenarios.load[n, u, t])))
-    return rows

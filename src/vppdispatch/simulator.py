@@ -160,17 +160,3 @@ class Simulator:
             return np.zeros((0, len(self.instance.storages), 2))
         return np.stack(self.state.actions, axis=0)
 
-
-def trajectory_rows(sim: Simulator) -> list[tuple[int, str, str, float]]:
-    """Flatten a simulator log to (t, entity, quantity, value) rows."""
-    rows: list[tuple[int, str, str, float]] = []
-    cons = sim.consumption_matrix()
-    acts = sim.action_log()
-    for t in range(cons.shape[1]):
-        for i, b in enumerate(sim.instance.buildings):
-            rows.append((t, b.id, "consumption", float(cons[i, t])))
-        for i, s in enumerate(sim.instance.storages):
-            rows.append((t, s.id, "charge", float(acts[t, i, 0])))
-            rows.append((t, s.id, "discharge", float(acts[t, i, 1])))
-        rows.append((t, "district", "consumption", float(cons[:, t].sum())))
-    return rows

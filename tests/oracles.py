@@ -65,7 +65,7 @@ def recurrent_sequence_rows(history, calendar, t: int, K: int) -> np.ndarray:
     rows = []
     for s in range(t - K + 1, t + 1):
         fv = build_features(history, calendar, s, 1)
-        rows.append(np.concatenate([fv.lag_features, fv.time_features]))
+        rows.append(np.concatenate([fv[6:], fv[:6]]))
     return np.stack(rows, axis=0)
 
 

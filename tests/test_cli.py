@@ -1,8 +1,14 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from vppdispatch.benchmark import _dump_config, load_run_config
 from vppdispatch.cli import main
+from vppdispatch.presets import drift_benchmark_config, sweep_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -118,3 +124,44 @@ def test_benchmark_seed_override(dataset, tmp_path):
     assert main(["benchmark", "--config", str(cfg_path), "--seed", "1,2"]) == 0
     summary = (tmp_path / "bench2" / "summary.csv").read_text().splitlines()
     assert len(summary) == 5  # header + 2 controllers x 2 seeds
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"workers": 1}, "'workers'"),
+        ({"controller": {"n_scenarios": 2, "lag": 3}}, "'lag'"),
+        ({"controller": {"scheme": {"kind": "noft", "freeze": ["cell"]}}}, "'freeze'"),
+    ],
+)
+def test_benchmark_rejects_unknown_config_keys(dataset, tmp_path, capsys, extra, named):
+    cfg = {
+        "out_dir": str(tmp_path / "bench3"),
+        "dataset_path": str(dataset),
+        "synthetic": None,
+        "controllers": ["nostorage"],
+        "components": False,
+        **extra,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["benchmark", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("config error:") and named in out
+    assert not (tmp_path / "bench3").exists()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda out: replace(load_run_config(str(CONFIGS / "example_benchmark.json")), out_dir=out),
+        drift_benchmark_config,
+        sweep_config,
+    ],
+    ids=["example", "drift", "sweep"],
+)
+def test_run_config_json_reloads_equal(tmp_path, make):
+    config = make(str(tmp_path / "bench"))
+    path = tmp_path / "run_config.json"
+    _dump_config(config, path)
+    assert load_run_config(str(path)) == config

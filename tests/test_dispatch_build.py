@@ -219,11 +219,11 @@ class TestExtractPlan:
         inst = _instance([2.0, 2.0], price=[1.0, 1.0], storage=storage)
         lp = build_deterministic(inst, _forecasts(inst))
         s = solve_lp(lp)
-        idx = lp.column_index()
+        cols = lp.meta["columns"]
         x = s.x.copy()
-        x[idx["charge.s0.t0"]] = 3.0
-        x[idx["discharge.s0.t0"]] = 1.0
-        x[idx["grid.t0"]] += 2.0  # keep the balance consistent
+        x[cols["charge"][0, 0]] = 3.0
+        x[cols["discharge"][0, 0]] = 1.0
+        x[cols["grid"][0]] += 2.0  # keep the balance consistent
         from vppdispatch.dispatch.lp import LPSolution
 
         doctored = LPSolution("optimal", x, float(lp.c @ x), s.iterations)
@@ -238,9 +238,9 @@ class TestExtractPlan:
         lp = build_deterministic(inst, _forecasts(inst))
         s = solve_lp(lp)
         plan = extract_plan(s, lp)
-        idx = lp.column_index()
-        assert plan.p_charge[0, 0] == pytest.approx(s.x[idx["charge.s0.t0"]])
-        assert plan.p_discharge[0, 1] == pytest.approx(s.x[idx["discharge.s0.t1"]])
+        cols = lp.meta["columns"]
+        assert plan.p_charge[0, 0] == pytest.approx(s.x[cols["charge"][0, 0]])
+        assert plan.p_discharge[0, 1] == pytest.approx(s.x[cols["discharge"][0, 1]])
 
     def test_non_optimal_solution_rejected(self):
         inst = _instance([1.0])

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vppdispatch.domain import (
-    BuildingSeries,
     DispatchPlan,
     MarketSeries,
     ProblemInstance,
     StorageDevice,
     TimeGrid,
-    decode_instance,
-    encode_instance,
-    instances_equal,
     validate_instance,
     validate_plan,
 )
@@ -51,7 +45,6 @@ def test_short_price_series_is_flagged(two_building_instance):
 def test_calendar_labels_follow_modulo_arithmetic():
     grid = TimeGrid(start_index=30, horizon_T=100)
     assert grid.hour_of_day[0] == 6
-    assert grid.day_of_week[0] == (30 // 24) % 7
     assert np.all(grid.hour_of_day == (np.arange(30, 130) % 24))
     assert np.all(grid.month_index == np.arange(30, 130) // 720)
 
@@ -69,32 +62,6 @@ def test_slice_preserves_devices(two_building_instance):
     assert sliced.grid.start_index == 10
     assert sliced.storages == two_building_instance.storages
     assert np.array_equal(sliced.buildings[0].load, two_building_instance.buildings[0].load[10:30])
-
-
-def test_serialization_round_trip(two_building_instance):
-    text = encode_instance(two_building_instance)
-    back = decode_instance(text)
-    assert instances_equal(two_building_instance, back)
-    assert encode_instance(back) == text
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    start=st.integers(min_value=0, max_value=10_000),
-    values=st.lists(
-        st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=2, max_size=8
-    ),
-)
-def test_serialization_round_trip_random_series(start, values):
-    T = len(values)
-    inst = ProblemInstance(
-        grid=TimeGrid(start, T),
-        buildings=(BuildingSeries("b", values, values),),
-        generators=(),
-        storages=(),
-        market=MarketSeries(values, values),
-    )
-    assert instances_equal(inst, decode_instance(encode_instance(inst)))
 
 
 def _plan_for(instance, charge, discharge):

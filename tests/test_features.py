@@ -20,28 +20,28 @@ def test_hour_zero_encoding():
     grid = TimeGrid(0, 48)
     fv = build_features(np.ones(30), grid, t=24, K=3)
     # step 24 is hour 0: sin 0, cos 1
-    assert fv.time_features[0] == pytest.approx(0.0, abs=1e-12)
-    assert fv.time_features[1] == pytest.approx(1.0)
+    assert fv[:6][0] == pytest.approx(0.0, abs=1e-12)
+    assert fv[:6][1] == pytest.approx(1.0)
 
 
 def test_hour_six_is_quarter_cycle():
     grid = TimeGrid(0, 48)
     fv = build_features(np.ones(30), grid, t=6, K=3)
-    assert fv.time_features[0] == pytest.approx(1.0)
-    assert fv.time_features[1] == pytest.approx(0.0, abs=1e-12)
+    assert fv[:6][0] == pytest.approx(1.0)
+    assert fv[:6][1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_constant_history_lags():
     grid = TimeGrid(0, 48)
     fv = build_features(np.full(20, 5.0), grid, t=10, K=3)
-    assert np.array_equal(fv.lag_features, [5.0, 5.0, 5.0])
+    assert np.array_equal(fv[6:], [5.0, 5.0, 5.0])
 
 
 def test_lags_are_the_values_immediately_before_t():
     grid = TimeGrid(0, 48)
     history = np.arange(20.0)
     fv = build_features(history, grid, t=10, K=4)
-    assert np.array_equal(fv.lag_features, [6.0, 7.0, 8.0, 9.0])
+    assert np.array_equal(fv[6:], [6.0, 7.0, 8.0, 9.0])
 
 
 def test_insufficient_history_names_requirement():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios, scenario_rows
+from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios
 
 
 def _forecasts(T=6):
@@ -72,14 +72,6 @@ def test_zero_scenarios_rejected():
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
         Uncertainty(solar=np.array([-0.1]), load=np.zeros(1), price=np.zeros(1))
-
-
-def test_rows_cover_every_cell():
-    scen = sample_scenarios(_forecasts(T=3), Uncertainty.zero(), N=2, seed=0)
-    rows = scenario_rows(scen)
-    # per scenario and step: price + 1 solar + 2 load rows
-    assert len(rows) == 2 * 3 * 4
-    assert rows[0][:3] == (0, "price", 0)
 
 
 @settings(max_examples=20, deadline=None)

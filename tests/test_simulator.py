@@ -11,7 +11,6 @@ from vppdispatch.simulator import (
     Simulator,
     step_battery,
     step_environment,
-    trajectory_rows,
 )
 
 NO_PERTURB = PerturbationConfig()
@@ -126,12 +125,3 @@ class TestSimulator:
             return sim.consumption_matrix()
 
         assert np.array_equal(run(), run())
-
-    def test_trajectory_rows_cover_all_steps(self, two_building_instance):
-        sim = Simulator(two_building_instance)
-        for _ in range(3):
-            sim.step(np.zeros((2, 2)))
-        rows = trajectory_rows(sim)
-        # per step: 2 building rows + 2x2 storage rows + 1 district row
-        assert len(rows) == 3 * (2 + 4 + 1)
-        assert rows[0][1] == "b0"
