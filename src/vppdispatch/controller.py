@@ -456,6 +456,10 @@ def run_episode(
             else:
                 plan = None
                 lp_fallbacks += 1
+                logger.debug(
+                    "re-plan at step %d: LP %s after %d iterations; executing zero action",
+                    t_abs, solution.status, solution.iterations,
+                )
             dispatch_seconds.append(time.perf_counter() - started)
 
         offset = t_rel - plan_t0

@@ -6,6 +6,17 @@ Bland's smallest-index rule, which is deterministic and cannot cycle.
 Phase 1 adds artificial columns for rows whose logical starts outside its
 bounds and minimizes their sum with the same machinery.
 
+A pivot changes the status of at most two columns and the inverse in the
+rows where the entering column has an entry, so the pivot loop carries the
+nonbasic values, the residual ``b - A xn`` and the entering masks from one
+pivot to the next, runs the ratio test over the rows the entering column
+moves, and updates only those rows of the inverse.  The dense products that
+feed the basic values, the duals and the inverse (``A @ xn``, ``binv @ r``,
+``binv @ A[:, j]``, ``c[basis] @ binv``, ``y @ A`` and the periodic
+``np.linalg.inv``) stay the same calls on the same operands: another BLAS
+call rounds differently, and through ties in degenerate ratio tests a last
+bit can change the pivot path and the plan.
+
 Presolve performs one safe reduction before the simplex runs and undoes it
 afterwards: a column appearing in exactly one equality row is substituted
 out, the row turning into a range constraint on the remaining terms.  The
@@ -42,7 +53,16 @@ def _nonbasic_values(lo: np.ndarray, up: np.ndarray, status: np.ndarray) -> np.n
 
 
 class _Core:
-    """Simplex state over the augmented system A x = b with column bounds."""
+    """Simplex state over the augmented system A x = b with column bounds.
+
+    Between calls to ``iterate`` the state is the basis, the column status
+    and the dense basis inverse, refactorized every ``_REFRESH`` pivots and
+    after any pivot on an element below 1e-11.  Within a call, ``iterate``
+    also carries the nonbasic values, the residual ``r = b - A xn`` (recomputed
+    only after a pivot or bound swing changes a value of ``xn``) and the masks
+    of columns that may enter rising or falling.  The basic values, the duals
+    and the reduced costs are recomputed from the inverse at every pivot.
+    """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray,
                  basis: np.ndarray, status: np.ndarray, tol: float):
@@ -67,38 +87,42 @@ class _Core:
         return x
 
     def iterate(self, max_iterations: int) -> tuple[str, int]:
-        tol = self.tol
+        A, b, c, lo, up, basis, status, tol = (
+            self.A, self.b, self.c, self.lo, self.up, self.basis, self.status, self.tol
+        )
+        movable = up > lo
+        # nonbasic columns that may enter rising (d < -tol) or falling (d > tol)
+        may_rise = (status == _FREE) | ((status == _AT_LO) & movable)
+        may_fall = (status == _FREE) | ((status == _AT_UP) & movable)
+        xn = _nonbasic_values(lo, up, status)
+        r = b - A @ xn
+        stale = False  # xn changed since r was computed
         iterations = 0
         while True:
             if iterations >= max_iterations:
                 return "iteration_limit", iterations
-            xb = self.basic_values()
-            y = self.c[self.basis] @ self.binv
-            d = self.c - y @ self.A
-            movable = self.up > self.lo
-            cand_lo = (self.status == _AT_LO) & (d < -tol) & movable
-            cand_up = (self.status == _AT_UP) & (d > tol) & movable
-            cand_fr = (self.status == _FREE) & (np.abs(d) > tol)
-            eligible = np.flatnonzero(cand_lo | cand_up | cand_fr)
-            if eligible.size == 0:
+            if stale:
+                r = b - A @ xn
+                stale = False
+            binv = self.binv
+            xb = binv @ r
+            y = c[basis] @ binv
+            d = c - y @ A
+            eligible = (may_rise & (d < -tol)) | (may_fall & (d > tol))
+            j = int(eligible.argmax())  # Bland: smallest index enters
+            if not eligible[j]:
                 return "optimal", iterations
-            j = int(eligible[0])  # Bland: smallest index enters
-            sigma = 1.0 if (self.status[j] == _AT_LO or (self.status[j] == _FREE and d[j] < 0)) else -1.0
+            sigma = 1.0 if d[j] < 0 else -1.0
 
-            w = self.binv @ self.A[:, j]
-            delta = -sigma * w  # movement of basic values per unit step
-            lo_b, up_b = self.lo[self.basis], self.up[self.basis]
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = np.full(delta.shape, np.inf)
-                up_block = delta > tol
-                theta[up_block] = (up_b[up_block] - xb[up_block]) / delta[up_block]
-                lo_block = delta < -tol
-                theta[lo_block] = (xb[lo_block] - lo_b[lo_block]) / (-delta[lo_block])
+            w = binv @ A[:, j]
+            rows = np.flatnonzero(np.abs(w) > tol)  # the others never block
+            delta = -sigma * w[rows]  # movement of those basic values per unit step
+            cols, x_rows = basis[rows], xb[rows]
+            theta = np.where(delta > 0, up[cols] - x_rows, x_rows - lo[cols]) / np.abs(delta)
             theta = np.where(np.isnan(theta), np.inf, np.maximum(theta, 0.0))
 
             block = float(theta.min()) if theta.size else np.inf
-            self_theta = self.up[j] - self.lo[j] if self.status[j] != _FREE else np.inf
+            self_theta = up[j] - lo[j] if status[j] != _FREE else np.inf
 
             if not np.isfinite(block) and not np.isfinite(self_theta):
                 return "unbounded", iterations
@@ -106,25 +130,39 @@ class _Core:
 
             if self_theta <= block:
                 # entering variable swings to its opposite bound; basis unchanged
-                self.status[j] = _AT_UP if self.status[j] == _AT_LO else _AT_LO
+                to_upper = status[j] == _AT_LO
+                status[j] = _AT_UP if to_upper else _AT_LO
+                may_rise[j], may_fall[j] = not to_upper, to_upper
+                xn[j] = up[j] if to_upper else lo[j]
+                stale = True
                 continue
 
             blockers = np.flatnonzero(theta <= block)
-            p = int(blockers[np.argmin(self.basis[blockers])])  # Bland: smallest column leaves
-            leaving = int(self.basis[p])
-            hit_upper = delta[p] > 0
-            self.status[leaving] = _AT_UP if hit_upper else _AT_LO
-            self.basis[p] = j
-            self.status[j] = _BASIC
+            k = int(blockers[np.argmin(cols[blockers])])  # Bland: smallest column leaves
+            p = int(rows[k])
+            leaving = int(basis[p])
+            hit_upper = delta[k] > 0
+            status[leaving] = _AT_UP if hit_upper else _AT_LO
+            may_rise[leaving] = movable[leaving] and not hit_upper
+            may_fall[leaving] = movable[leaving] and hit_upper
+            basis[p] = j
+            status[j] = _BASIC
+            may_rise[j] = may_fall[j] = False
+            x_leaving = up[leaving] if hit_upper else lo[leaving]
+            stale = xn[j] != 0.0 or x_leaving != 0.0
+            xn[j] = 0.0
+            xn[leaving] = x_leaving
 
-            # update the explicit inverse with the pivot row operations
+            # update the explicit inverse with the pivot row operations, on
+            # the rows where the entering column has an entry
             piv = w[p]
             if abs(piv) < 1e-11 or self.pivots_since_refresh >= _REFRESH:
                 self.refactor()
             else:
-                self.binv[p, :] /= piv
-                others = np.arange(w.shape[0]) != p
-                self.binv[others, :] -= np.outer(w[others], self.binv[p, :])
+                binv[p, :] /= piv
+                others = np.flatnonzero(w)
+                others = others[others != p]
+                binv[others, :] -= np.outer(w[others], binv[p, :])
                 self.pivots_since_refresh += 1
 
 

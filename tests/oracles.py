@@ -8,7 +8,10 @@ balance row and one grid column per scenario and step (only the package's
 LP container is used to hold it).  The recurrent input sequence is built
 one row per lag through the scalar ``build_features``, and the logistic
 function is the boolean-mask form; the package's vectorized versions must
-match both bit for bit.
+match both bit for bit.  The simplex pivot loop is the one that rebuilds the
+nonbasic values, the eligibility masks, the full ratio test and the full
+rank-1 inverse update at every pivot; the package's loop carries them across
+pivots and must take the same pivots to the same bits.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import itertools
 import numpy as np
 
 from vppdispatch.dispatch import ColumnName, LinearProgram, LPBuilder
+from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH
 from vppdispatch.forecast import InsufficientHistoryError, build_features
 
 
@@ -67,6 +71,71 @@ def recurrent_sequence_rows(history, calendar, t: int, K: int) -> np.ndarray:
         fv = build_features(history, calendar, s, 1)
         rows.append(np.concatenate([fv[6:], fv[:6]]))
     return np.stack(rows, axis=0)
+
+
+def rebuilding_iterate(self, max_iterations: int) -> tuple[str, int]:
+    """Bland's-rule pivot loop over a ``simplex._Core`` that recomputes
+    everything from the status array and the inverse at every pivot; a
+    drop-in for ``_Core.iterate``."""
+    tol = self.tol
+    iterations = 0
+    while True:
+        if iterations >= max_iterations:
+            return "iteration_limit", iterations
+        xb = self.basic_values()
+        y = self.c[self.basis] @ self.binv
+        d = self.c - y @ self.A
+        movable = self.up > self.lo
+        cand_lo = (self.status == _AT_LO) & (d < -tol) & movable
+        cand_up = (self.status == _AT_UP) & (d > tol) & movable
+        cand_fr = (self.status == _FREE) & (np.abs(d) > tol)
+        eligible = np.flatnonzero(cand_lo | cand_up | cand_fr)
+        if eligible.size == 0:
+            return "optimal", iterations
+        j = int(eligible[0])  # Bland: smallest index enters
+        sigma = 1.0 if (self.status[j] == _AT_LO or (self.status[j] == _FREE and d[j] < 0)) else -1.0
+
+        w = self.binv @ self.A[:, j]
+        delta = -sigma * w  # movement of basic values per unit step
+        lo_b, up_b = self.lo[self.basis], self.up[self.basis]
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.full(delta.shape, np.inf)
+            up_block = delta > tol
+            theta[up_block] = (up_b[up_block] - xb[up_block]) / delta[up_block]
+            lo_block = delta < -tol
+            theta[lo_block] = (xb[lo_block] - lo_b[lo_block]) / (-delta[lo_block])
+        theta = np.where(np.isnan(theta), np.inf, np.maximum(theta, 0.0))
+
+        block = float(theta.min()) if theta.size else np.inf
+        self_theta = self.up[j] - self.lo[j] if self.status[j] != _FREE else np.inf
+
+        if not np.isfinite(block) and not np.isfinite(self_theta):
+            return "unbounded", iterations
+        iterations += 1
+
+        if self_theta <= block:
+            # entering variable swings to its opposite bound; basis unchanged
+            self.status[j] = _AT_UP if self.status[j] == _AT_LO else _AT_LO
+            continue
+
+        blockers = np.flatnonzero(theta <= block)
+        p = int(blockers[np.argmin(self.basis[blockers])])  # Bland: smallest column leaves
+        leaving = int(self.basis[p])
+        hit_upper = delta[p] > 0
+        self.status[leaving] = _AT_UP if hit_upper else _AT_LO
+        self.basis[p] = j
+        self.status[j] = _BASIC
+
+        # update the explicit inverse with the pivot row operations
+        piv = w[p]
+        if abs(piv) < 1e-11 or self.pivots_since_refresh >= _REFRESH:
+            self.refactor()
+        else:
+            self.binv[p, :] /= piv
+            others = np.arange(w.shape[0]) != p
+            self.binv[others, :] -= np.outer(w[others], self.binv[p, :])
+            self.pivots_since_refresh += 1
 
 
 def _side_grid(pairs: list[list[float]]) -> np.ndarray:

@@ -13,7 +13,8 @@ from vppdispatch.controller import (
     run_rbc,
     run_sofo,
 )
-from vppdispatch.dispatch import build_deterministic, solve_lp
+from vppdispatch import controller
+from vppdispatch.dispatch import LPSolution, build_deterministic, solve_lp
 from vppdispatch.forecast import TrainConfig, UpdateScheme
 from vppdispatch.scenario import Forecasts
 from vppdispatch.simulator import PerturbationConfig
@@ -94,6 +95,30 @@ class TestPerfectInformationCollapse:
         # re-derive the planned trajectory from executed flows
         replayed = np.cumsum(ep.charge[0] - ep.discharge[0]) + inst.storages[0].e_initial
         assert np.allclose(ep.soc[0], replayed, atol=1e-9)
+
+
+class TestLPFallback:
+    def test_non_optimal_solve_is_counted_and_logged(self, caplog, monkeypatch):
+        inst = _small_instance(days=3)
+        cfg = replace(ORACLE_CFG, horizon_T=24, T_rl=24)
+        calls = []
+
+        def second_solve_hits_limit(lp, options=None):
+            calls.append(lp)
+            if len(calls) == 2:
+                return LPSolution("iteration_limit", np.zeros(lp.n_cols), 0.0, 17)
+            return solve_lp(lp, options)
+
+        monkeypatch.setattr(controller, "solve_lp", second_solve_hits_limit)
+        with caplog.at_level(logging.DEBUG, logger="vppdispatch.controller"):
+            ep = run_sofo(inst, Split(0, 0), cfg)
+
+        assert len(calls) == 3 and ep.lp_fallbacks == 1
+        assert np.all(ep.charge[:, 24:48] == 0) and np.all(ep.discharge[:, 24:48] == 0)
+        logged = [r for r in caplog.records if r.name == "vppdispatch.controller"]
+        assert [r.levelno for r in logged] == [logging.DEBUG]
+        message = logged[0].getMessage()
+        assert "step 24" in message and "iteration_limit" in message and "17 iterations" in message
 
 
 def _trained_setup(days=12, drift=None):

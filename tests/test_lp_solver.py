@@ -1,12 +1,16 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vppdispatch.dispatch import ColumnName, LPBuilder, solve_lp, write_mps
+from vppdispatch.dispatch import ColumnName, LPBuilder, build_deterministic, build_stochastic, solve_lp, write_mps
+from vppdispatch.dispatch import simplex
 from vppdispatch.dispatch.simplex import SolveOptions
+from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios
+from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
 
-from oracles import enumerate_lp_minimum
+from oracles import enumerate_lp_minimum, rebuilding_iterate
 
 
 def _build(c, A, row_lo, row_up, col_lo, col_up):
@@ -49,6 +53,44 @@ def random_bounded_lp(rng):
     return c, A, row_lo, row_up, col_lo, col_up
 
 
+def infeasible_lp():
+    b = LPBuilder()
+    x = b.add_col(ColumnName("x", "", 0), 0.0, 1.0, 1.0)
+    b.add_row([(x, 1.0)], 2.0, 3.0)
+    return b.build()
+
+
+def unbounded_lp():
+    b = LPBuilder()
+    x = b.add_col(ColumnName("x", "", 0), -np.inf, np.inf, 1.0)
+    y = b.add_col(ColumnName("y", "", 1), 0.0, np.inf, 0.0)
+    b.add_row([(x, 1.0), (y, 1.0)], -np.inf, 5.0)
+    return b.build()
+
+
+def dispatch_lp(T, initial_soc=0.0, n_scenarios=None):
+    """The clairvoyant (or, with ``n_scenarios``, the stochastic) dispatch
+    program over steps [7, 7+T) of an 8-day two-building district, its
+    batteries starting at ``initial_soc`` of their capacity."""
+    district = generate_synthetic(SyntheticSpec(
+        days=8, n_buildings=2, noise_load=0.08, noise_solar=0.15, pv_scale=2.0,
+        battery_hours=5.0, battery_c_rate=0.2, seed=3,
+    ))
+    window = district.slice(7, T)
+    window = replace(window, storages=tuple(
+        replace(s, e_initial=initial_soc * s.e_max) for s in window.storages
+    ))
+    fc = Forecasts(
+        solar=np.stack([b.solar_capacity for b in window.buildings]),
+        load=np.stack([b.load for b in window.buildings]),
+        price=window.market.price,
+    )
+    if n_scenarios is None:
+        return build_deterministic(window, fc)
+    unc = Uncertainty(solar=np.full(T, 0.2), load=np.full(T, 0.15), price=np.full(T, 0.02))
+    return build_stochastic(window, sample_scenarios(fc, unc, N=n_scenarios, seed=1))
+
+
 class TestTinyPrograms:
     def test_single_variable_lower_bound(self):
         b = LPBuilder()
@@ -67,17 +109,10 @@ class TestTinyPrograms:
         assert s.objective == pytest.approx(-1.0)
 
     def test_infeasible_detected(self):
-        b = LPBuilder()
-        x = b.add_col(ColumnName("x", "", 0), 0.0, 1.0, 1.0)
-        b.add_row([(x, 1.0)], 2.0, 3.0)
-        assert solve_lp(b.build()).status == "infeasible"
+        assert solve_lp(infeasible_lp()).status == "infeasible"
 
     def test_unbounded_detected(self):
-        b = LPBuilder()
-        x = b.add_col(ColumnName("x", "", 0), -np.inf, np.inf, 1.0)
-        y = b.add_col(ColumnName("y", "", 1), 0.0, np.inf, 0.0)
-        b.add_row([(x, 1.0), (y, 1.0)], -np.inf, 5.0)
-        assert solve_lp(b.build()).status == "unbounded"
+        assert solve_lp(unbounded_lp()).status == "unbounded"
 
     def test_iteration_limit_reported(self):
         rng = np.random.default_rng(0)
@@ -119,6 +154,104 @@ class TestOracleEquivalence:
             assert np.all(s.x >= col_lo - 1e-7) and np.all(s.x <= col_up + 1e-7)
             act = A @ s.x
             assert np.all(act >= row_lo - 1e-7) and np.all(act <= row_up + 1e-7)
+
+
+class TestPivotPathMatchesRebuildingLoop:
+    """The pivot loop that carries its state across pivots against the
+    oracle loop that rebuilds it at every pivot: the same status, the same
+    iteration count and the same bits of x."""
+
+    @staticmethod
+    def _check(lp, monkeypatch, options=None):
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex._Core, "iterate", rebuilding_iterate)
+            expect = solve_lp(lp, options)
+        got = solve_lp(lp, options)
+        assert got.status == expect.status
+        assert got.iterations == expect.iterations
+        assert np.array_equal(got.x.view(np.int64), expect.x.view(np.int64))
+        return got
+
+    @staticmethod
+    def _trace(lp, monkeypatch, options=None):
+        """Iterations per call of the pivot loop (one call per phase), and
+        the pivots since the last refactorization at each refactorization."""
+        calls, refactors = [], []
+        iterate, refactor = simplex._Core.iterate, simplex._Core.refactor
+
+        def counting_iterate(core, max_iterations):
+            state, iterations = iterate(core, max_iterations)
+            calls.append(iterations)
+            return state, iterations
+
+        def recording_refactor(core):
+            refactors.append(getattr(core, "pivots_since_refresh", 0))
+            refactor(core)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex._Core, "iterate", counting_iterate)
+            patched.setattr(simplex._Core, "refactor", recording_refactor)
+            solve_lp(lp, options)
+        return calls, refactors
+
+    @pytest.mark.parametrize("T", [24, 48, 96])
+    def test_deterministic_dispatch(self, T, monkeypatch):
+        assert self._check(dispatch_lp(T), monkeypatch).status == "optimal"
+
+    def test_stochastic_dispatch(self, monkeypatch):
+        assert self._check(dispatch_lp(24, n_scenarios=50), monkeypatch).status == "optimal"
+
+    def test_start_violating_rows(self, monkeypatch):
+        lp = dispatch_lp(48, initial_soc=0.5)
+        calls, _ = self._trace(lp, monkeypatch)
+        assert len(calls) == 2 and calls[0] > 0  # a phase 1 ran
+        assert self._check(lp, monkeypatch).status == "optimal"
+
+    @pytest.mark.parametrize("build, status", [
+        (infeasible_lp, "infeasible"),
+        (unbounded_lp, "unbounded"),
+        (lambda: _build(*random_bounded_lp(np.random.default_rng(0))), "optimal"),
+    ], ids=["infeasible", "unbounded", "random"])
+    def test_tiny_programs(self, build, status, monkeypatch):
+        assert self._check(build(), monkeypatch).status == status
+        got = self._check(build(), monkeypatch, SolveOptions(max_iterations=0))
+        assert got.status == "iteration_limit"
+
+    def test_iteration_limits(self, monkeypatch):
+        lp = dispatch_lp(48, initial_soc=0.5)
+        (phase1, phase2), _ = self._trace(lp, monkeypatch)
+        # cut off in phase 1, in phase 2, and in phase 2 after a refactorization
+        # that _REFRESH pivots forced
+        for limit, phases, refreshed in ((phase1 // 2, 1, False), (phase1 + 10, 2, False),
+                                         (phase1 + phase2 // 2, 2, True)):
+            options = SolveOptions(max_iterations=limit)
+            calls, refactors = self._trace(lp, monkeypatch, options)
+            assert len(calls) == phases and (simplex._REFRESH in refactors) == refreshed
+            got = self._check(lp, monkeypatch, options)
+            assert got.status == "iteration_limit" and got.iterations == limit
+
+
+@pytest.mark.parametrize("T", [24, 96, 168])
+def test_dispatch_programs_match_highs(T):
+    """Objective against HiGHS; x checked against rows and bounds.  The
+    programs are degenerate, so the two vertices may differ."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    lp = dispatch_lp(T, initial_soc=0.5)
+    got = solve_lp(lp)
+    assert got.status == "optimal"
+
+    A = lp.dense()
+    eq = lp.row_lo == lp.row_up
+    up, lo = ~eq & np.isfinite(lp.row_up), ~eq & np.isfinite(lp.row_lo)
+    res = linprog(
+        lp.c, A_ub=np.vstack([A[up], -A[lo]]), b_ub=np.concatenate([lp.row_up[up], -lp.row_lo[lo]]),
+        A_eq=A[eq], b_eq=lp.row_lo[eq], bounds=np.column_stack([lp.col_lo, lp.col_up]), method="highs",
+    )
+    assert res.status == 0, res.message
+    assert abs(got.objective - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+    activity = A @ got.x
+    assert np.all(activity >= lp.row_lo - 1e-7) and np.all(activity <= lp.row_up + 1e-7)
+    assert np.all(got.x >= lp.col_lo - 1e-7) and np.all(got.x <= lp.col_up + 1e-7)
 
 
 class TestDeterminism:
