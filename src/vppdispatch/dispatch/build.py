@@ -19,6 +19,20 @@ the objective and the gap to the scenario-average draw travel in ``meta``.
 Charge/discharge exclusivity is not representable in an LP; it is omitted
 here and repaired exactly in ``extract_plan`` by netting the two flows,
 which changes neither the state-of-charge trajectory nor the objective.
+
+The programs are dual-degenerate: under a price-only objective many battery
+schedules cost the same, and which one a simplex returns would depend on
+its pivot order.  Every program therefore carries a secondary cost
+(``LinearProgram.tiebreak``) of ``1 + u`` on each charge, discharge and
+generation column, ``u`` uniform on [0, 1) from a fixed seed, and the
+solver minimizes it over the price optima: the least battery throughput
+and generation among the cheapest plans.  The generation weights pin how
+the output splits between generators, which price alone leaves open; they
+share the battery weights' sign, so the secondary cost never pays the
+battery to absorb solar that earns nothing.  The weights are generic on
+purpose: weights that are linear in the step index (``1 + t/T``,
+golden-ratio grades) tie again on sums such as steps 1 + 54 and 6 + 49,
+and those ties let the pivot order choose the first-step action again.
 """
 
 from __future__ import annotations
@@ -83,8 +97,15 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
         entries += [(chg[si, t], -1.0) for si in range(len(instance.storages))]
         b.add_row(entries, float(district_load[t]), float(district_load[t]))
     meta = _meta(instance, T, n_scenarios=0)
-    meta["columns"] = _column_arrays(grid_cols, gen, chg, dis, instance, T)
-    return b.build(meta=meta)
+    columns = meta["columns"] = _column_arrays(grid_cols, gen, chg, dis, instance, T)
+    rng = np.random.default_rng(0)
+    u = rng.uniform(size=(2, len(instance.storages), T))
+    v = rng.uniform(size=(len(instance.generators), T))
+    tiebreak = np.zeros(len(b.c))
+    tiebreak[columns["charge"]] = 1.0 + u[0]
+    tiebreak[columns["discharge"]] = 1.0 + u[1]
+    tiebreak[columns["gen"]] = 1.0 + v
+    return b.build(meta=meta, tiebreak=tiebreak)
 
 
 def build_stochastic(instance: ProblemInstance, scenarios: ScenarioSet) -> LinearProgram:

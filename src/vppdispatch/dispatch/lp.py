@@ -3,7 +3,9 @@
 A LinearProgram stores the objective, a sparse triplet constraint matrix,
 two-sided row and column bounds, and a name table mapping every column to
 (quantity, device, timestamp) so solutions can be mapped back to dispatch
-series.  The MPS writer produces a fixed-layout file any external
+series.  An optional secondary cost, ``tiebreak``, picks one point among the
+optima of ``c``: the solver minimizes it over the optimal face without
+moving ``c . x``.  The MPS writer produces a fixed-layout file any external
 LP solver can read, for hand cross-checks.
 """
 
@@ -41,6 +43,7 @@ class LinearProgram:
     col_up: np.ndarray
     col_names: list[ColumnName]
     meta: dict = field(default_factory=dict)
+    tiebreak: np.ndarray | None = None  # secondary cost over the optima of c; not written to MPS
 
     @property
     def n_rows(self) -> int:
@@ -54,6 +57,8 @@ class LinearProgram:
         n, m = self.n_cols, self.n_rows
         if not (len(self.col_names) == n == self.col_lo.shape[0] == self.col_up.shape[0]):
             raise ValueError("column arrays and name table sizes disagree")
+        if self.tiebreak is not None and self.tiebreak.shape != (n,):
+            raise ValueError("tie-break cost and column count disagree")
         if self.row_up.shape[0] != m:
             raise ValueError("row bound arrays disagree")
         if self.a_rows.shape != self.a_cols.shape or self.a_rows.shape != self.a_vals.shape:
@@ -104,7 +109,7 @@ class LPBuilder:
         self.row_up.append(up)
         return r
 
-    def build(self, meta: dict | None = None) -> LinearProgram:
+    def build(self, meta: dict | None = None, tiebreak: np.ndarray | None = None) -> LinearProgram:
         lp = LinearProgram(
             c=np.asarray(self.c, dtype=np.float64),
             a_rows=np.asarray(self.rows, dtype=np.int64),
@@ -116,6 +121,7 @@ class LPBuilder:
             col_up=np.asarray(self.col_up, dtype=np.float64),
             col_names=list(self.col_names),
             meta=dict(meta or {}),
+            tiebreak=tiebreak,
         )
         lp.validate()
         return lp

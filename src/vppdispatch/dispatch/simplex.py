@@ -1,29 +1,45 @@
-"""Bounded-variable primal simplex with Bland's rule, plus presolve.
+"""Bounded-variable primal simplex with Dantzig pricing, plus presolve.
 
 The solver keeps an explicit dense basis inverse (adequate at the dispatch
-program sizes, which do not grow with the scenario count) and pivots with
-Bland's smallest-index rule, which is deterministic and cannot cycle.
-Phase 1 adds artificial columns for rows whose logical starts outside its
-bounds and minimizes their sum with the same machinery.
+program sizes, which do not grow with the scenario count).  It prices by
+Dantzig's rule: the eligible column with the largest reduced cost in
+magnitude enters.  Dantzig's rule alone can cycle on degenerate programs,
+so after ``_STALL`` pivots in a row that move no value the entering column
+is Bland's smallest eligible index until a pivot moves again; the leaving
+row always follows Bland's smallest-column rule among tied ratios, and
+Bland's rule throughout a degenerate run cannot cycle.  The choice of the
+entering column sits in ``_entering`` alone.  Phase 1 adds artificial
+columns for rows whose logical starts outside its bounds and minimizes
+their sum with the same machinery.
+
+Phase 3 runs when the program carries a tie-break cost.  Once phase 2 is
+optimal, every nonbasic column whose primary reduced cost is nonzero is
+fixed at its current bound, which leaves exactly the face of optimal
+points (complementary slackness holds with the phase-2 duals at every
+optimum, whichever optimal basis phase 2 ended in).  The tie-break cost is
+then minimized from the current basis.  Every column that can still enter
+has a zero primary reduced cost, so the price objective cannot change,
+and the point returned is the tie-break minimizer of that face: a function
+of the program, not of the pivot order.  An iteration limit that falls in
+phase 3 still returns an optimal point.
 
 A pivot changes the status of at most two columns and the inverse in the
 rows where the entering column has an entry, so the pivot loop carries the
 nonbasic values, the residual ``b - A xn`` and the entering masks from one
 pivot to the next, runs the ratio test over the rows the entering column
-moves, and updates only those rows of the inverse.  The dense products that
-feed the basic values, the duals and the inverse (``A @ xn``, ``binv @ r``,
-``binv @ A[:, j]``, ``c[basis] @ binv``, ``y @ A`` and the periodic
-``np.linalg.inv``) stay the same calls on the same operands: another BLAS
-call rounds differently, and through ties in degenerate ratio tests a last
-bit can change the pivot path and the plan.
+moves, and updates only those rows of the inverse.  The dense products
+that feed the basic values, the duals and the inverse (``A @ xn``,
+``binv @ r``, ``binv @ A[:, j]``, ``c[basis] @ binv``, ``y @ A`` and the
+periodic ``np.linalg.inv``) are the calls of the loop that rebuilds every
+quantity at each pivot, which the tests hold this loop to bit for bit.
 
 Presolve performs one safe reduction before the simplex runs and undoes it
 afterwards: a column appearing in exactly one equality row is substituted
-out, the row turning into a range constraint on the remaining terms.  The
-grid-draw column of every balance row is such a singleton.  Rows left
-empty are checked against their bounds and dropped.  Solutions and
-objective values agree with presolve on or off (the tests check both
-paths).
+out, the row turning into a range constraint on the remaining terms, and
+both costs are carried through the substitution.  The grid-draw column of
+every balance row is such a singleton.  Rows left empty are checked
+against their bounds and dropped.  Solutions and objective values agree
+with presolve on or off (the tests check both paths).
 """
 
 from __future__ import annotations
@@ -36,6 +52,7 @@ from .lp import LinearProgram, LPSolution
 
 _AT_LO, _AT_UP, _FREE, _BASIC = 0, 1, 2, 3
 _REFRESH = 64  # refactorize the basis inverse every this many pivots
+_STALL = 50  # degenerate pivots in a row before Bland's rule picks the entering column
 
 
 @dataclass
@@ -52,6 +69,15 @@ def _nonbasic_values(lo: np.ndarray, up: np.ndarray, status: np.ndarray) -> np.n
     return x
 
 
+def _entering(eligible: np.ndarray, d: np.ndarray, stalled: bool) -> int:
+    """The entering column: among the eligible ones, the largest ``|d_j|``
+    (Dantzig), or the smallest index while pivots stall (Bland).  Returns
+    an ineligible index only when no column is eligible."""
+    if stalled:
+        return int(eligible.argmax())
+    return int(np.where(eligible, np.abs(d), -1.0).argmax())
+
+
 class _Core:
     """Simplex state over the augmented system A x = b with column bounds.
 
@@ -59,9 +85,12 @@ class _Core:
     and the dense basis inverse, refactorized every ``_REFRESH`` pivots and
     after any pivot on an element below 1e-11.  Within a call, ``iterate``
     also carries the nonbasic values, the residual ``r = b - A xn`` (recomputed
-    only after a pivot or bound swing changes a value of ``xn``) and the masks
-    of columns that may enter rising or falling.  The basic values, the duals
-    and the reduced costs are recomputed from the inverse at every pivot.
+    only after a pivot or bound swing changes a value of ``xn``), the masks
+    of columns that may enter rising or falling, and the count of
+    degenerate pivots in a row that switches pricing from Dantzig's rule to
+    Bland's.  The basic values, the duals and the reduced costs are
+    recomputed from the inverse at every pivot.  A column with ``lo == up``
+    never enters; phase 3 fixes columns that way.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray,
@@ -97,6 +126,7 @@ class _Core:
         xn = _nonbasic_values(lo, up, status)
         r = b - A @ xn
         stale = False  # xn changed since r was computed
+        degenerate = 0  # pivots in a row that moved no value
         iterations = 0
         while True:
             if iterations >= max_iterations:
@@ -109,7 +139,7 @@ class _Core:
             y = c[basis] @ binv
             d = c - y @ A
             eligible = (may_rise & (d < -tol)) | (may_fall & (d > tol))
-            j = int(eligible.argmax())  # Bland: smallest index enters
+            j = _entering(eligible, d, degenerate >= _STALL)
             if not eligible[j]:
                 return "optimal", iterations
             sigma = 1.0 if d[j] < 0 else -1.0
@@ -135,7 +165,9 @@ class _Core:
                 may_rise[j], may_fall[j] = not to_upper, to_upper
                 xn[j] = up[j] if to_upper else lo[j]
                 stale = True
+                degenerate = 0
                 continue
+            degenerate = degenerate + 1 if block == 0.0 else 0
 
             blockers = np.flatnonzero(theta <= block)
             k = int(blockers[np.argmin(cols[blockers])])  # Bland: smallest column leaves
@@ -174,8 +206,10 @@ def _solve_bounded(
     row_lo: np.ndarray,
     row_up: np.ndarray,
     options: SolveOptions,
+    tiebreak: np.ndarray | None = None,
 ) -> tuple[str, np.ndarray, int]:
-    """Two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up, col_lo <= x <= col_up."""
+    """Two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up, col_lo <= x <= col_up,
+    then, given ``tiebreak``, phase 3: min tiebreak.x over the optima of c."""
     m, n = A.shape
     tol = options.tolerance
 
@@ -241,13 +275,25 @@ def _solve_bounded(
         core.lo[n + m :] = 0.0
         core.up[n + m :] = 0.0
         core.c = np.concatenate([c, np.zeros(m + n_art)])
-        state, it2 = core.iterate(options.max_iterations - iterations)
-        iterations += it2
-        return state, core.full_x()[:n], iterations
+    else:
+        core = _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol)
+    state, it2 = core.iterate(options.max_iterations - iterations)
+    iterations += it2
 
-    core = _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol)
-    state, it2 = core.iterate(options.max_iterations)
-    return state, core.full_x()[:n], iterations + it2
+    if state == "optimal" and tiebreak is not None:
+        # phase 3: fix every nonbasic column that the price duals price at
+        # its bound, which leaves the optimal face, and minimize the tie-break
+        # cost over it; whatever the phase ends in, the point stays optimal
+        d = core.c - (core.c[core.basis] @ core.binv) @ core.A
+        priced = np.abs(d) > tol
+        at_lo, at_up = priced & (core.status == _AT_LO), priced & (core.status == _AT_UP)
+        core.up[at_lo] = core.lo[at_lo]
+        core.lo[at_up] = core.up[at_up]
+        core.c = np.zeros_like(core.c)
+        core.c[:n] = tiebreak
+        _, it3 = core.iterate(options.max_iterations - iterations)
+        iterations += it3
+    return state, core.full_x()[:n], iterations
 
 
 # ----------------------------------------------------------------------
@@ -277,8 +323,9 @@ class _Eliminations:
 def _presolve(lp: LinearProgram, tol: float):
     """Reduce the LP; returns None if presolve already proves infeasibility.
 
-    Works on triplets sorted by (row, col), so every pass is a whole-array
-    operation.
+    The reduced costs come as a list: ``c``, then the tie-break cost if the
+    program has one.  Works on triplets sorted by (row, col), so every pass
+    is a whole-array operation.
     """
     n, m = lp.n_cols, lp.n_rows
     order = np.lexsort((lp.a_cols, lp.a_rows))
@@ -299,7 +346,7 @@ def _presolve(lp: LinearProgram, tol: float):
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
     col_count = np.bincount(cols, minlength=n)
-    c = lp.c.copy()
+    costs = [cost.copy() for cost in (lp.c, lp.tiebreak) if cost is not None]
     row_lo = lp.row_lo.copy()
     row_up = lp.row_up.copy()
     removed_col = np.zeros(n, dtype=bool)
@@ -325,9 +372,10 @@ def _presolve(lp: LinearProgram, tol: float):
         dropped = np.zeros(rows.size, dtype=bool)
         dropped[first_of_row] = True
         rest = in_elim_row[rows] & ~dropped
-        scale = np.zeros(m)
-        scale[e_rows] = c[e_cols] / e_coef
-        np.subtract.at(c, cols[rest], scale[rows[rest]] * vals[rest])
+        for cost in costs:
+            scale = np.zeros(m)
+            scale[e_rows] = cost[e_cols] / e_coef
+            np.subtract.at(cost, cols[rest], scale[rows[rest]] * vals[rest])
         eliminations = _Eliminations(
             cols=e_cols, coefs=e_coef, rhs=e_rhs, rows=e_rows,
             rest_rows=rows[rest], rest_cols=cols[rest], rest_vals=vals[rest],
@@ -357,7 +405,7 @@ def _presolve(lp: LinearProgram, tol: float):
         row_lo[keep_idx],
         row_up[keep_idx],
         kept_cols,
-        c[kept_cols],
+        [cost[kept_cols] for cost in costs],
         eliminations,
     )
 
@@ -366,7 +414,9 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
     """Solve a LinearProgram; deterministic for fixed inputs.
 
     Infeasibility and unboundedness are reported via the status field, not
-    raised.  On iteration_limit the best iterate reached is returned.
+    raised.  On iteration_limit the best iterate reached is returned; a
+    limit reached while minimizing ``lp.tiebreak`` still returns the optimal
+    point reached.  ``iterations`` counts the pivots of every phase.
     """
     options = options or SolveOptions()
     lp.validate()
@@ -376,16 +426,16 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
         reduced = _presolve(lp, tol)
         if reduced is None:
             return LPSolution("infeasible", np.zeros(lp.n_cols), np.nan, 0)
-        A, row_lo, row_up, kept_cols, c_red, eliminations = reduced
+        A, row_lo, row_up, kept_cols, costs, eliminations = reduced
         state, x_red, iterations = _solve_bounded(
-            A, c_red, lp.col_lo[kept_cols], lp.col_up[kept_cols], row_lo, row_up, options
+            A, costs[0], lp.col_lo[kept_cols], lp.col_up[kept_cols], row_lo, row_up, options, *costs[1:]
         )
         x = np.zeros(lp.n_cols)
         x[kept_cols] = x_red
         eliminations.recover(x, lp.n_rows)
     else:
         state, x, iterations = _solve_bounded(
-            lp.dense(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options
+            lp.dense(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options, lp.tiebreak
         )
 
     if state == "optimal":

@@ -10,8 +10,9 @@ one row per lag through the scalar ``build_features``, and the logistic
 function is the boolean-mask form; the package's vectorized versions must
 match both bit for bit.  The simplex pivot loop is the one that rebuilds the
 nonbasic values, the eligibility masks, the full ratio test and the full
-rank-1 inverse update at every pivot; the package's loop carries them across
-pivots and must take the same pivots to the same bits.
+rank-1 inverse update at every pivot, with its own copy of the pricing rule;
+the package's loop carries them across pivots and must take the same pivots
+to the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import numpy as np
 
 from vppdispatch.dispatch import ColumnName, LinearProgram, LPBuilder
-from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH
+from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH, _STALL
 from vppdispatch.forecast import InsufficientHistoryError, build_features
 
 
@@ -74,10 +75,13 @@ def recurrent_sequence_rows(history, calendar, t: int, K: int) -> np.ndarray:
 
 
 def rebuilding_iterate(self, max_iterations: int) -> tuple[str, int]:
-    """Bland's-rule pivot loop over a ``simplex._Core`` that recomputes
-    everything from the status array and the inverse at every pivot; a
-    drop-in for ``_Core.iterate``."""
+    """Pivot loop over a ``simplex._Core`` that recomputes everything from
+    the status array and the inverse at every pivot; a drop-in for
+    ``_Core.iterate``.  The largest |d| enters (Dantzig), and after
+    ``_STALL`` pivots in a row that move nothing the smallest eligible index
+    enters (Bland) until one moves."""
     tol = self.tol
+    degenerate = 0
     iterations = 0
     while True:
         if iterations >= max_iterations:
@@ -92,7 +96,10 @@ def rebuilding_iterate(self, max_iterations: int) -> tuple[str, int]:
         eligible = np.flatnonzero(cand_lo | cand_up | cand_fr)
         if eligible.size == 0:
             return "optimal", iterations
-        j = int(eligible[0])  # Bland: smallest index enters
+        if degenerate >= _STALL:
+            j = int(eligible[0])
+        else:
+            j = int(eligible[np.argmax(np.abs(d[eligible]))])
         sigma = 1.0 if (self.status[j] == _AT_LO or (self.status[j] == _FREE and d[j] < 0)) else -1.0
 
         w = self.binv @ self.A[:, j]
@@ -117,7 +124,9 @@ def rebuilding_iterate(self, max_iterations: int) -> tuple[str, int]:
         if self_theta <= block:
             # entering variable swings to its opposite bound; basis unchanged
             self.status[j] = _AT_UP if self.status[j] == _AT_LO else _AT_LO
+            degenerate = 0
             continue
+        degenerate = degenerate + 1 if block == 0.0 else 0
 
         blockers = np.flatnonzero(theta <= block)
         p = int(blockers[np.argmin(self.basis[blockers])])  # Bland: smallest column leaves
@@ -232,10 +241,16 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
     SOC per step, the order the package's builders use.  Rows: SOC dynamics
     per storage, then one balance row per scenario and step.  Generation is
     capped below its capacity in every scenario; scenario n's draw is
-    priced at ``p_n,t / N``.
+    priced at ``p_n,t / N``.  The shared columns carry the package's
+    tie-break costs: ``1 + u`` on charge and discharge and ``1 + v`` on
+    generation, drawn in that order from ``default_rng(0)``.
     """
     N, T = scenarios.n_scenarios, instance.n_steps
     dt = instance.grid.step_hours
+    rng = np.random.default_rng(0)
+    u = rng.uniform(size=(2, len(instance.storages), T))
+    v = rng.uniform(size=(len(instance.generators), T))
+    weight = {}
     b = LPBuilder()
     grid = [[b.add_col(ColumnName("grid", f"scenario{n}", t), 0.0, np.inf, float(scenarios.price[n, t] / N))
              for t in range(T)] for n in range(N)]
@@ -244,13 +259,17 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
         caps = [min(float(scenarios.solar[n, gi, t]) for n in range(N)) for t in range(T)]
         gen.append([b.add_col(ColumnName("gen", g.id, t), float(g.p_min[t]), min(g.p_max_capacity, caps[t]))
                     for t in range(T)])
+        for t in range(T):
+            weight[gen[gi][t]] = 1.0 + v[gi, t]
     chg, dis = [], []
-    for s in instance.storages:
+    for si, s in enumerate(instance.storages):
         c_s, d_s, e_s = [], [], []
         for t in range(T):
             c_s.append(b.add_col(ColumnName("charge", s.id, t), 0.0, s.p_charge_max))
             d_s.append(b.add_col(ColumnName("discharge", s.id, t), 0.0, s.p_discharge_max))
             e_s.append(b.add_col(ColumnName("soc", s.id, t), s.e_min, s.e_max))
+            weight[c_s[t]] = 1.0 + u[0, si, t]
+            weight[d_s[t]] = 1.0 + u[1, si, t]
         for t in range(T):
             entries = [(e_s[t], 1.0), (c_s[t], -dt), (d_s[t], dt)]
             if t:
@@ -265,14 +284,15 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
             entries = [(grid[n][t], 1.0)] + [(g[t], 1.0) for g in gen]
             entries += [(d[t], 1.0) for d in dis] + [(c[t], -1.0) for c in chg]
             b.add_row(entries, load, load)
-    return b.build(meta={"grid": np.asarray(grid)})
+    tiebreak = np.array([weight.get(j, 0.0) for j in range(len(b.c))])
+    return b.build(meta={"grid": np.asarray(grid)}, tiebreak=tiebreak)
 
 
 def reduce_program(lp: LinearProgram, tol: float = 1e-9):
     """Textbook presolve, one row at a time: substitute out each column that
     appears in exactly one equality row (the smallest such column per row),
-    then merge rows with identical coefficients by intersecting their
-    bounds.
+    carrying both costs through the substitution, then merge rows with
+    identical coefficients by intersecting their bounds.
 
     Returns the reduced program over the surviving columns (None if an
     emptied row is infeasible) and a function that maps a solution of it
@@ -288,6 +308,7 @@ def reduce_program(lp: LinearProgram, tol: float = 1e-9):
         for j in row:
             count[j] += 1
     c = lp.c.tolist()
+    tiebreak = None if lp.tiebreak is None else lp.tiebreak.tolist()
     row_lo, row_up = lp.row_lo.tolist(), lp.row_up.tolist()
 
     substituted = []  # (column, coefficient, rhs, remaining (column, value) pairs)
@@ -302,9 +323,10 @@ def reduce_program(lp: LinearProgram, tol: float = 1e-9):
         lo, up = float(lp.col_lo[j]), float(lp.col_up[j])
         row_lo[r], row_up[r] = (rhs - coef * up, rhs - coef * lo) if coef > 0 else (rhs - coef * lo, rhs - coef * up)
         rest = sorted(entries[r].items())
-        scale = c[j] / coef
-        for k, v in rest:
-            c[k] -= scale * v
+        for cost in (c, tiebreak) if tiebreak is not None else (c,):
+            scale = cost[j] / coef
+            for k, v in rest:
+                cost[k] -= scale * v
         substituted.append((j, coef, rhs, rest))
 
     kept_rows, first = [], {}
@@ -334,6 +356,7 @@ def reduce_program(lp: LinearProgram, tol: float = 1e-9):
         col_lo=lp.col_lo[kept_cols],
         col_up=lp.col_up[kept_cols],
         col_names=[lp.col_names[j] for j in kept_cols],
+        tiebreak=None if tiebreak is None else np.array([tiebreak[j] for j in kept_cols]),
     )
 
     def recover(x_reduced: np.ndarray) -> np.ndarray:

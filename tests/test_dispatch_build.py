@@ -77,6 +77,21 @@ class TestDeterministicBuild:
         plan = extract_plan(s, lp)
         assert np.allclose(plan.soc[0], [5.0, 0.0], atol=1e-9)
 
+    def test_tiebreak_weights(self, two_building_instance):
+        inst = two_building_instance.slice(0, 24)
+        lp = build_deterministic(inst, _forecasts(inst))
+        cols = lp.meta["columns"]
+        tb = lp.tiebreak
+        weighted = np.concatenate([cols["charge"].ravel(), cols["discharge"].ravel(), cols["gen"].ravel()])
+        assert np.all((tb[weighted] >= 1.0) & (tb[weighted] < 2.0))
+        rest = np.setdiff1d(np.arange(lp.n_cols), weighted)
+        assert rest.size and np.all(tb[rest] == 0.0)
+        # generic: no two weights coincide, and every build draws the same ones
+        assert np.unique(tb[weighted]).size == weighted.size
+        assert np.array_equal(build_deterministic(inst, _forecasts(inst)).tiebreak, tb)
+        scen = sample_scenarios(_forecasts(inst), Uncertainty.zero(), N=3, seed=0)
+        assert np.array_equal(build_stochastic(inst, scen).tiebreak, tb)
+
     def test_horizon_mismatch_rejected(self):
         inst = _instance([1.0, 2.0])
         bad = Forecasts(solar=np.zeros((0, 3)), load=np.ones((1, 3)), price=np.ones(3))
@@ -178,7 +193,7 @@ class TestCollapseAgainstExpansion:
                 reduced, recover = reduce_program(expansion)
                 # the same reduction of both programs leaves the same program
                 collapse_reduced, _ = reduce_program(collapse)
-                for part in ("c", "a_rows", "a_cols", "a_vals", "row_lo", "row_up", "col_lo", "col_up"):
+                for part in ("c", "tiebreak", "a_rows", "a_cols", "a_vals", "row_lo", "row_up", "col_lo", "col_up"):
                     assert np.array_equal(getattr(collapse_reduced, part), getattr(reduced, part)), (start, N, part)
                 sol = solve_lp(collapse)
                 ref = solve_lp(reduced)

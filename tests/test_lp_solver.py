@@ -4,8 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vppdispatch.dispatch import ColumnName, LPBuilder, build_deterministic, build_stochastic, solve_lp, write_mps
+from vppdispatch.dispatch import (
+    ColumnName, LPBuilder, build_deterministic, build_stochastic, extract_plan, solve_lp, write_mps,
+)
 from vppdispatch.dispatch import simplex
+from vppdispatch.dispatch.lp import LPSolution
 from vppdispatch.dispatch.simplex import SolveOptions
 from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
@@ -204,7 +207,7 @@ class TestPivotPathMatchesRebuildingLoop:
     def test_start_violating_rows(self, monkeypatch):
         lp = dispatch_lp(48, initial_soc=0.5)
         calls, _ = self._trace(lp, monkeypatch)
-        assert len(calls) == 2 and calls[0] > 0  # a phase 1 ran
+        assert len(calls) == 3 and calls[0] > 0  # a phase 1 ran
         assert self._check(lp, monkeypatch).status == "optimal"
 
     @pytest.mark.parametrize("build, status", [
@@ -219,37 +222,138 @@ class TestPivotPathMatchesRebuildingLoop:
 
     def test_iteration_limits(self, monkeypatch):
         lp = dispatch_lp(48, initial_soc=0.5)
-        (phase1, phase2), _ = self._trace(lp, monkeypatch)
-        # cut off in phase 1, in phase 2, and in phase 2 after a refactorization
-        # that _REFRESH pivots forced
-        for limit, phases, refreshed in ((phase1 // 2, 1, False), (phase1 + 10, 2, False),
-                                         (phase1 + phase2 // 2, 2, True)):
+        (phase1, phase2, phase3), _ = self._trace(lp, monkeypatch)
+        # cut off in phase 1, in phase 2, in phase 2 after a refactorization
+        # that _REFRESH pivots forced, and in phase 3, which ends optimal
+        for limit, phases, refreshed, status in (
+            (phase1 // 2, 1, False, "iteration_limit"),
+            (phase1 + 10, 2, False, "iteration_limit"),
+            (phase1 + phase2 // 2, 2, True, "iteration_limit"),
+            (phase1 + phase2 + phase3 // 2, 3, True, "optimal"),
+        ):
             options = SolveOptions(max_iterations=limit)
             calls, refactors = self._trace(lp, monkeypatch, options)
             assert len(calls) == phases and (simplex._REFRESH in refactors) == refreshed
             got = self._check(lp, monkeypatch, options)
-            assert got.status == "iteration_limit" and got.iterations == limit
+            assert got.status == status and got.iterations == limit
+
+
+def _bland(monkeypatch):
+    """Force Bland's smallest-index entering rule at every pivot."""
+    monkeypatch.setattr(simplex, "_entering", lambda eligible, d, stalled: int(eligible.argmax()))
+
+
+PLAN_FIELDS = ("p_grid", "p_gen", "p_charge", "p_discharge", "soc")
+DISPATCH_CASES = pytest.mark.parametrize("args", [
+    dict(T=24), dict(T=48), dict(T=96), dict(T=24, n_scenarios=50), dict(T=48, initial_soc=0.5),
+], ids=["T24", "T48", "T96", "stochastic", "phase1"])
+
+
+class TestPlanIndependence:
+    """The dispatch programs are dual-degenerate; phase 3 makes the plan a
+    function of the program, whatever the pivot order."""
+
+    @DISPATCH_CASES
+    def test_bland_and_dantzig_plans_agree(self, args, monkeypatch):
+        lp = dispatch_lp(**args)
+        got = solve_lp(lp)
+        with monkeypatch.context() as patched:
+            _bland(patched)
+            ref = solve_lp(lp)
+        assert got.status == ref.status == "optimal"
+        assert got.iterations < ref.iterations  # the two rules walked different paths
+        assert abs(got.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+        plan, ref_plan = extract_plan(got, lp), extract_plan(ref, lp)
+        for field in PLAN_FIELDS:
+            assert np.allclose(getattr(plan, field), getattr(ref_plan, field), rtol=0, atol=1e-9), field
+
+    @DISPATCH_CASES
+    def test_presolve_keeps_the_plan(self, args):
+        lp = dispatch_lp(**args)
+        got, raw = solve_lp(lp), solve_lp(lp, SolveOptions(presolve=False))
+        plan, raw_plan = extract_plan(got, lp), extract_plan(raw, lp)
+        for field in PLAN_FIELDS:
+            assert np.allclose(getattr(plan, field), getattr(raw_plan, field), rtol=0, atol=1e-9), field
+
+    def test_presolve_substitutes_the_tiebreak(self):
+        """Every point is optimal for c = 0, and the tie-break weight of the
+        singleton s, which presolve substitutes out, decides the point."""
+        A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])  # columns x, y, s
+        lp = _build(np.zeros(3), A, np.array([1.0, -1.0]), np.array([1.0, 1.0]), np.zeros(3), np.ones(3))
+        lp.tiebreak = np.array([-0.1, -0.2, -1.0])
+        for presolve in (True, False):
+            got = solve_lp(lp, SolveOptions(presolve=presolve))
+            assert got.status == "optimal"
+            assert np.allclose(got.x, [0.0, 0.0, 1.0], rtol=0, atol=1e-12), presolve
+
+    @DISPATCH_CASES
+    def test_first_step_matches_lexicographic_highs(self, args):
+        """HiGHS minimizes c.x, then the tie-break cost with c.x held at its
+        optimum; the executed first step must be the same."""
+        pytest.importorskip("scipy.optimize")
+        lp = dispatch_lp(**args)
+        first = _highs(lp, lp.c)
+        z = first.fun + 1e-9 * max(1.0, abs(first.fun))
+        second = _highs(lp, lp.tiebreak, cap=(lp.c, z))
+        got = extract_plan(solve_lp(lp), lp)
+        ref = extract_plan(LPSolution("optimal", second.x, float(lp.c @ second.x), 0), lp)
+        assert np.allclose(got.p_charge[:, 0], ref.p_charge[:, 0], rtol=0, atol=1e-6)
+        assert np.allclose(got.p_discharge[:, 0], ref.p_discharge[:, 0], rtol=0, atol=1e-6)
+
+    def test_limit_in_phase_three_keeps_the_optimum(self, monkeypatch):
+        lp = dispatch_lp(48)
+        calls = []
+        iterate = simplex._Core.iterate
+
+        def counting_iterate(core, max_iterations):
+            state, iterations = iterate(core, max_iterations)
+            calls.append(iterations)
+            return state, iterations
+
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex._Core, "iterate", counting_iterate)
+            full = solve_lp(lp)
+        phase2, phase3 = calls
+        assert phase3 > 1
+        cut = solve_lp(lp, SolveOptions(max_iterations=phase2 + phase3 // 2))
+        assert cut.status == "optimal" and cut.iterations == phase2 + phase3 // 2
+        assert abs(cut.objective - full.objective) <= 1e-9 * max(1.0, abs(full.objective))
+        activity = lp.dense() @ cut.x
+        assert np.all(activity >= lp.row_lo - 1e-7) and np.all(activity <= lp.row_up + 1e-7)
+        assert np.all(cut.x >= lp.col_lo) and np.all(cut.x <= lp.col_up)
+        assert lp.tiebreak @ cut.x > lp.tiebreak @ full.x  # phase 3 had not finished
+
+
+def _highs(lp, cost, cap=None):
+    """HiGHS through ``scipy.optimize.linprog`` on ``min cost.x`` over the
+    program's rows and bounds, plus ``cap[0].x <= cap[1]`` if given."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    A = lp.dense()
+    eq = lp.row_lo == lp.row_up
+    up, lo = ~eq & np.isfinite(lp.row_up), ~eq & np.isfinite(lp.row_lo)
+    A_ub = [A[up], -A[lo]]
+    b_ub = [lp.row_up[up], -lp.row_lo[lo]]
+    if cap is not None:
+        A_ub.append(cap[0][None, :])
+        b_ub.append([cap[1]])
+    res = linprog(
+        cost, A_ub=np.vstack(A_ub), b_ub=np.concatenate(b_ub), A_eq=A[eq], b_eq=lp.row_lo[eq],
+        bounds=np.column_stack([lp.col_lo, lp.col_up]), method="highs",
+    )
+    assert res.status == 0, res.message
+    return res
 
 
 @pytest.mark.parametrize("T", [24, 96, 168])
 def test_dispatch_programs_match_highs(T):
     """Objective against HiGHS; x checked against rows and bounds.  The
     programs are degenerate, so the two vertices may differ."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
     lp = dispatch_lp(T, initial_soc=0.5)
+    res = _highs(lp, lp.c)
     got = solve_lp(lp)
     assert got.status == "optimal"
-
-    A = lp.dense()
-    eq = lp.row_lo == lp.row_up
-    up, lo = ~eq & np.isfinite(lp.row_up), ~eq & np.isfinite(lp.row_lo)
-    res = linprog(
-        lp.c, A_ub=np.vstack([A[up], -A[lo]]), b_ub=np.concatenate([lp.row_up[up], -lp.row_lo[lo]]),
-        A_eq=A[eq], b_eq=lp.row_lo[eq], bounds=np.column_stack([lp.col_lo, lp.col_up]), method="highs",
-    )
-    assert res.status == 0, res.message
     assert abs(got.objective - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
-    activity = A @ got.x
+    activity = lp.dense() @ got.x
     assert np.all(activity >= lp.row_lo - 1e-7) and np.all(activity <= lp.row_up + 1e-7)
     assert np.all(got.x >= lp.col_lo - 1e-7) and np.all(got.x <= lp.col_up + 1e-7)
 
@@ -289,3 +393,14 @@ def test_mps_export_smoke(tmp_path):
     for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
         assert section in text
     assert "C0000000" in text
+    # the tie-break cost is the solver's, not part of the exported program
+    lp.tiebreak = np.ones(lp.n_cols)
+    write_mps(lp, str(path))
+    assert path.read_text() == text
+
+
+def test_tiebreak_length_validated():
+    lp = _build(*random_bounded_lp(np.random.default_rng(4)))
+    lp.tiebreak = np.ones(lp.n_cols + 1)
+    with pytest.raises(ValueError, match="tie-break"):
+        lp.validate()
