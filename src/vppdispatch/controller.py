@@ -10,6 +10,11 @@ error exceeds the trigger.  Every baseline funnels through the same engine
 so behaviour differs only along the intended axes (scenarios on/off,
 re-plan interval, update scheme).
 
+Each re-plan starts the simplex from the previous re-plan's optimal basis,
+shifted by the steps between the two; the solver falls back to its cold
+start when that basis is unusable, and after a fallback the next re-plan
+starts cold.
+
 An infeasible program never aborts an episode: the step falls back to zero
 action and the incident is counted.  Likewise a fine-tune whose training
 diverges keeps the target's previous model; the event is counted and
@@ -40,7 +45,7 @@ from .forecast import (
     predict,
     train,
 )
-from .dispatch import build_deterministic, build_stochastic, extract_plan, solve_lp
+from .dispatch import build_deterministic, build_stochastic, extract_plan, shift_basis, solve_lp
 from .dispatch.simplex import SolveOptions
 from .scenario import Forecasts, Uncertainty, sample_scenarios
 from .simulator import PerturbationConfig, Simulator
@@ -120,6 +125,8 @@ class EpisodeResult:
     seconds_per_day: float
     models: dict | None = None
     finetune_divergences: int = 0  # updates that diverged and kept the old model
+    warm_starts: int = 0  # re-plans solved from the previous plan's shifted basis
+    cold_starts: int = 0  # re-plans solved from the solver's cold start
 
 
 @dataclass
@@ -423,6 +430,12 @@ def run_episode(
     plan = None
     plan_t0 = 0
     plan_forecasts: Forecasts | None = None
+    # the last optimal program and its basis; plans T_rl >= horizon_T steps
+    # apart share no step, so day-ahead re-plans keep none, and otherwise
+    # the shift of T_rl steps is shorter than the previous plan
+    last_lp, last_basis = None, None
+    keep_basis = config.T_rl < config.horizon_T
+    warm_starts = 0
     lp_fallbacks = 0
     dispatch_seconds: list[float] = []
     fine_tune_steps: list[int] = []
@@ -448,13 +461,20 @@ def run_episode(
                 lp = build_stochastic(lp_inst, scen)
             else:
                 lp = build_deterministic(lp_inst, forecasts)
-            solution = solve_lp(lp, SolveOptions())
+            start = None if last_basis is None else shift_basis(last_basis, last_lp, lp, t_rel - plan_t0)
+            solution = solve_lp(lp, SolveOptions(basis=start))
+            warm_starts += solution.warm_start == "accepted"
+            if solution.warm_start not in (None, "accepted"):
+                logger.debug("re-plan at step %d starts cold: warm basis %s", t_abs, solution.warm_start)
             if solution.status == "optimal":
                 plan = extract_plan(solution, lp)
                 plan_t0 = t_rel
                 plan_forecasts = forecasts
+                if keep_basis:
+                    last_lp, last_basis = lp, solution.basis
             else:
                 plan = None
+                last_lp, last_basis = None, None
                 lp_fallbacks += 1
                 logger.debug(
                     "re-plan at step %d: LP %s after %d iterations; executing zero action",
@@ -483,11 +503,14 @@ def run_episode(
             fine_tune_seconds.append(spent)
 
     loop_seconds = time.perf_counter() - loop_started
-    return _finalize(
+    result = _finalize(
         name, config, split, window, sim, soc_track,
         provider, lp_fallbacks, dispatch_seconds,
         fine_tune_steps, fine_tune_seconds, loop_seconds,
     )
+    result.warm_starts = warm_starts
+    result.cold_starts = len(dispatch_seconds) - warm_starts
+    return result
 
 
 def _run_schedule(

@@ -1,13 +1,15 @@
 """Linear programming layer: model builders, solver and plan extraction."""
 
-from .build import build_deterministic, build_stochastic, extract_plan
-from .lp import ColumnName, LinearProgram, LPBuilder, LPSolution, write_mps
+from .build import build_deterministic, build_stochastic, extract_plan, shift_basis
+from .lp import Basis, ColumnName, LinearProgram, LPBuilder, LPSolution, write_mps
 from .simplex import SolveOptions, solve_lp
 
 __all__ = [
     "build_deterministic",
     "build_stochastic",
     "extract_plan",
+    "shift_basis",
+    "Basis",
     "ColumnName",
     "LinearProgram",
     "LPBuilder",

@@ -33,15 +33,29 @@ battery to absorb solar that earns nothing.  The weights are generic on
 purpose: weights that are linear in the step index (``1 + t/T``,
 golden-ratio grades) tie again on sums such as steps 1 + 54 and 6 + 49,
 and those ties let the pivot order choose the first-step action again.
+The weights are drawn once per (storages, generators, steps) shape.
+
+Every program has the same layout, recorded in ``meta["columns"]`` and
+``meta["rows"]``: one column per quantity, device and step, one SOC
+dynamics row per storage and step, one balance row per step.  Successive
+re-plans of a rolling horizon are the same program one step on, so
+``shift_basis`` carries the optimal basis of one into a start basis for the
+next by index arithmetic over that layout.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from ..domain import DispatchPlan, ProblemInstance
 from ..scenario import Forecasts, ScenarioSet
-from .lp import ColumnName, LinearProgram, LPBuilder, LPSolution
+from .lp import AT_LO, BASIC, Basis, ColumnName, LinearProgram, LPBuilder, LPSolution, invert_basis
+
+COLUMN_QUANTITIES = ("grid", "gen", "charge", "discharge", "soc")
+ROW_KINDS = ("dynamics", "balance")
 
 
 def _check_horizon(instance: ProblemInstance, *series: np.ndarray) -> int:
@@ -60,7 +74,7 @@ def _add_shared_columns(b: LPBuilder, instance: ProblemInstance, gen_caps: np.nd
         for t in range(T):
             up = min(g.p_max_capacity, float(gen_caps[gi, t]))
             gen[gi, t] = b.add_col(ColumnName("gen", g.id, t), float(g.p_min[t]), up)
-    chg, dis, soc = {}, {}, {}
+    chg, dis, soc, dyn = {}, {}, {}, {}
     for si, s in enumerate(instance.storages):
         for t in range(T):
             chg[si, t] = b.add_col(ColumnName("charge", s.id, t), 0.0, s.p_charge_max)
@@ -69,11 +83,23 @@ def _add_shared_columns(b: LPBuilder, instance: ProblemInstance, gen_caps: np.nd
         for t in range(T):
             entries = [(soc[si, t], 1.0), (chg[si, t], -dt), (dis[si, t], dt)]
             if t == 0:
-                b.add_row(entries, s.e_initial, s.e_initial)
+                dyn[si, t] = b.add_row(entries, s.e_initial, s.e_initial)
             else:
                 entries.append((soc[si, t - 1], -1.0))
-                b.add_row(entries, 0.0, 0.0)
-    return gen, chg, dis
+                dyn[si, t] = b.add_row(entries, 0.0, 0.0)
+    return gen, chg, dis, soc, dyn
+
+
+@lru_cache(maxsize=256)
+def _tiebreak_weights(S: int, G: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform draws behind the tie-break weights, shape (2, S, T) for
+    charge and discharge and (G, T) for generation; read-only, shared by
+    every program of the shape."""
+    rng = np.random.default_rng(0)
+    u = rng.uniform(size=(2, S, T))
+    v = rng.uniform(size=(G, T))
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
 
 
 def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> LinearProgram:
@@ -88,19 +114,26 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     grid_cols = [
         b.add_col(ColumnName("grid", "", t), 0.0, np.inf, float(forecasts.price[t])) for t in range(T)
     ]
-    gen, chg, dis = _add_shared_columns(b, instance, forecasts.solar, T)
+    gen, chg, dis, soc, dyn = _add_shared_columns(b, instance, forecasts.solar, T)
     district_load = forecasts.load.sum(axis=0)
+    balance = []
     for t in range(T):
         entries = [(grid_cols[t], 1.0)]
         entries += [(gen[gi, t], 1.0) for gi in range(len(instance.generators))]
         entries += [(dis[si, t], 1.0) for si in range(len(instance.storages))]
         entries += [(chg[si, t], -1.0) for si in range(len(instance.storages))]
-        b.add_row(entries, float(district_load[t]), float(district_load[t]))
+        balance.append(b.add_row(entries, float(district_load[t]), float(district_load[t])))
     meta = _meta(instance, T, n_scenarios=0)
-    columns = meta["columns"] = _column_arrays(grid_cols, gen, chg, dis, instance, T)
-    rng = np.random.default_rng(0)
-    u = rng.uniform(size=(2, len(instance.storages), T))
-    v = rng.uniform(size=(len(instance.generators), T))
+    G, S = len(instance.generators), len(instance.storages)
+    columns = meta["columns"] = {
+        "grid": np.asarray(grid_cols, dtype=np.int64),
+        "gen": _index_grid(gen, G, T),
+        "charge": _index_grid(chg, S, T),
+        "discharge": _index_grid(dis, S, T),
+        "soc": _index_grid(soc, S, T),
+    }
+    meta["rows"] = {"dynamics": _index_grid(dyn, S, T), "balance": np.asarray(balance, dtype=np.int64)}
+    u, v = _tiebreak_weights(S, G, T)
     tiebreak = np.zeros(len(b.c))
     tiebreak[columns["charge"]] = 1.0 + u[0]
     tiebreak[columns["discharge"]] = 1.0 + u[1]
@@ -147,14 +180,9 @@ def build_stochastic(instance: ProblemInstance, scenarios: ScenarioSet) -> Linea
     return lp
 
 
-def _column_arrays(grid_ids, gen, chg, dis, instance, T) -> dict:
-    G, S = len(instance.generators), len(instance.storages)
-    return {
-        "grid": np.asarray(grid_ids, dtype=np.int64),
-        "gen": np.array([[gen[gi, t] for t in range(T)] for gi in range(G)], dtype=np.int64).reshape(G, T),
-        "charge": np.array([[chg[si, t] for t in range(T)] for si in range(S)], dtype=np.int64).reshape(S, T),
-        "discharge": np.array([[dis[si, t] for t in range(T)] for si in range(S)], dtype=np.int64).reshape(S, T),
-    }
+def _index_grid(index: dict, D: int, T: int) -> np.ndarray:
+    """The (D, T) array of the column or row indices ``index[d, t]``."""
+    return np.array([[index[d, t] for t in range(T)] for d in range(D)], dtype=np.int64).reshape(D, T)
 
 
 def _meta(instance: ProblemInstance, T: int, n_scenarios: int) -> dict:
@@ -168,6 +196,58 @@ def _meta(instance: ProblemInstance, T: int, n_scenarios: int) -> dict:
         "objective_offset": 0.0,
         "grid_shift": np.zeros(T),
     }
+
+
+def shift_basis(basis: Basis, source: LinearProgram, target: LinearProgram, k: int) -> Basis | None:
+    """A start basis for ``target`` from the optimal ``basis`` of ``source``,
+    the program built ``k`` steps earlier over the same devices; None when
+    the two share no step (``k >= T`` of ``source``) or not their devices.
+
+    Column ``(q, d, t)`` of ``source`` becomes column ``(q, d, t - k)`` of
+    ``target``, and rows map the same way.  The rows of each step that
+    ``target`` adds at its end take that step's grid and SOC columns into
+    the basis.  The steps shifted out may have held more basic columns than
+    rows.  The extra ones can only be SOC columns of step ``k - 1``: those
+    are the only shifted-out columns with an entry in a kept row, the first
+    dynamics row, where that SOC is now the constant initial SOC.  On the
+    kept rows such a column is the logical column of that row, so as many
+    of those logicals as the basis lacks enter it, the first combination
+    of them that leaves the basis nonsingular.  The solver rejects a basis
+    that still comes out of the wrong size or singular.
+    """
+    src, dst = source.meta, target.meta
+    T0, T1 = src["T"], dst["T"]
+    if not 0 <= k < T0 or (src["generators"], src["storages"]) != (dst["generators"], dst["storages"]):
+        return None
+    keep = min(T0 - k, T1)  # steps the two programs share
+    cols = np.full(target.n_cols, AT_LO, dtype=np.int64)
+    rows = np.full(target.n_rows, AT_LO, dtype=np.int64)
+    for q in COLUMN_QUANTITIES:
+        cols[dst["columns"][q][..., :keep]] = basis.cols[src["columns"][q][..., k : k + keep]]
+    for q in ROW_KINDS:
+        rows[dst["rows"][q][..., :keep]] = basis.rows[src["rows"][q][..., k : k + keep]]
+    cols[dst["columns"]["grid"][keep:]] = BASIC
+    cols[dst["columns"]["soc"][:, keep:]] = BASIC
+
+    short = target.n_rows - np.count_nonzero(cols == BASIC) - np.count_nonzero(rows == BASIC)
+    if short > 0 and k:
+        first = dst["rows"]["dynamics"][:, 0]
+        crossing = (basis.cols[src["columns"]["soc"][:, k - 1]] == BASIC) & (rows[first] != BASIC)
+        choices = [list(pick) for pick in combinations(first[crossing], short)]
+        for pick in choices:
+            was = rows[pick]
+            rows[pick] = BASIC
+            if pick is choices[-1] or _nonsingular(target, cols, rows):
+                break
+            rows[pick] = was
+    return Basis(cols, rows)
+
+
+def _nonsingular(lp: LinearProgram, cols: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether the columns and logicals marked basic form a basis of ``lp``."""
+    m = lp.n_rows
+    B = np.concatenate([lp.dense()[:, cols == BASIC], -np.eye(m)[:, rows == BASIC]], axis=1)
+    return B.shape[1] == m and invert_basis(B) is not None
 
 
 def extract_plan(solution: LPSolution, lp: LinearProgram) -> DispatchPlan:

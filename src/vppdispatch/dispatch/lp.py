@@ -5,8 +5,10 @@ two-sided row and column bounds, and a name table mapping every column to
 (quantity, device, timestamp) so solutions can be mapped back to dispatch
 series.  An optional secondary cost, ``tiebreak``, picks one point among the
 optima of ``c``: the solver minimizes it over the optimal face without
-moving ``c . x``.  The MPS writer produces a fixed-layout file any external
-LP solver can read, for hand cross-checks.
+moving ``c . x``.  A Basis states a simplex basis in the program's own
+layout: the status of every column and of every row's logical.  The MPS
+writer produces a fixed-layout file any external LP solver can read, for
+hand cross-checks.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INF = float("inf")
+
+# basis status of a column or a row logical: nonbasic at its lower bound,
+# at its upper bound, nonbasic free at zero, or basic
+AT_LO, AT_UP, FREE, BASIC = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -127,12 +133,41 @@ class LPBuilder:
         return lp
 
 
+def invert_basis(B: np.ndarray) -> np.ndarray | None:
+    """The inverse of the basis matrix ``B``, or None when ``B`` is singular:
+    ``inv`` raises, or ``B @ inv(B)`` misses the identity by more than 1e-9
+    in some entry (a condition number would cost an SVD)."""
+    try:
+        binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.abs(B @ binv - np.eye(B.shape[0])).max(initial=0.0) <= 1e-9:  # a NaN fails too
+        return None
+    return binv
+
+
+@dataclass(frozen=True)
+class Basis:
+    """Status codes (``AT_LO``, ``AT_UP``, ``FREE``, ``BASIC``) of every
+    column and of every row logical, the activity ``r_i = A_i . x`` that
+    carries row i's bounds.  A basis of a program with m rows has m basic
+    entries."""
+
+    cols: np.ndarray
+    rows: np.ndarray
+
+
 @dataclass(frozen=True)
 class LPSolution:
     status: str  # optimal | infeasible | unbounded | iteration_limit
     x: np.ndarray
     objective: float
     iterations: int
+    basis: Basis | None = None  # the final basis, when optimal
+    phase_iterations: tuple[int, int, int] = (0, 0, 0)  # pivots of phases 1, 2 and 3
+    # None when no start basis was given; "accepted", or why the start
+    # basis was rejected for the cold start ("wrong size", "singular")
+    warm_start: str | None = None
 
 
 def write_mps(lp: LinearProgram, path: str, name: str = "VPPLP") -> None:

@@ -23,6 +23,20 @@ and the point returned is the tie-break minimizer of that face: a function
 of the program, not of the pivot order.  An iteration limit that falls in
 phase 3 still returns an optimal point.
 
+A solve may start warm from a basis given in ``SolveOptions.basis``, such
+as the optimal basis of the previous re-plan shifted one step on.  The
+start is set aside for the cold start above when it does not have one
+basic entry per row, or when its basis matrix is singular (``inv`` raises,
+or ``B B^-1`` misses the identity by more than 1e-9).  Otherwise its
+nonbasic columns sit at their bounds and its basic values follow; those
+outside their bounds are clipped onto them, and a single artificial column
+``g = B (x_B - clip(x_B))``, bounded to [0, 1] and nonbasic at 1, carries
+the difference.  Phase 1 then minimizes ``g`` from that feasible start,
+and phases 2 and 3 run as from a cold start.  Since phase 3 makes the plan
+a function of the program, the start basis moves it only by rounding.
+An optimal solution reports its final basis, one basic entry per row: an
+artificial still basic at zero hands its place to a row logical.
+
 A pivot changes the status of at most two columns and the inverse in the
 rows where the entering column has an entry, so the pivot loop carries the
 nonbasic values, the residual ``b - A xn`` and the entering masks from one
@@ -39,7 +53,10 @@ out, the row turning into a range constraint on the remaining terms, and
 both costs are carried through the substitution.  The grid-draw column of
 every balance row is such a singleton.  Rows left empty are checked
 against their bounds and dropped.  Solutions and objective values agree
-with presolve on or off (the tests check both paths).
+with presolve on or off (the tests check both paths).  Bases cross
+presolve both ways, so callers see only the program's own layout: a
+substituted column and the logical of its row share the reduced row's
+logical status.
 """
 
 from __future__ import annotations
@@ -48,9 +65,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LPSolution
+from .lp import AT_LO as _AT_LO
+from .lp import AT_UP as _AT_UP
+from .lp import BASIC as _BASIC
+from .lp import FREE as _FREE
+from .lp import Basis, LinearProgram, LPSolution, invert_basis
 
-_AT_LO, _AT_UP, _FREE, _BASIC = 0, 1, 2, 3
 _REFRESH = 64  # refactorize the basis inverse every this many pivots
 _STALL = 50  # degenerate pivots in a row before Bland's rule picks the entering column
 
@@ -60,6 +80,7 @@ class SolveOptions:
     max_iterations: int = 20000
     tolerance: float = 1e-9
     presolve: bool = True
+    basis: Basis | None = None  # start basis in the program's layout; None starts cold
 
 
 def _nonbasic_values(lo: np.ndarray, up: np.ndarray, status: np.ndarray) -> np.ndarray:
@@ -94,13 +115,16 @@ class _Core:
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray,
-                 basis: np.ndarray, status: np.ndarray, tol: float):
+                 basis: np.ndarray, status: np.ndarray, tol: float, binv: np.ndarray | None = None):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
         self.basis = basis
         self.status = status
         self.tol = tol
         self.pivots_since_refresh = 0
-        self.refactor()
+        if binv is None:
+            self.refactor()
+        else:
+            self.binv = binv
 
     def refactor(self) -> None:
         self.binv = np.linalg.inv(self.A[:, self.basis])
@@ -198,38 +222,21 @@ class _Core:
                 self.pivots_since_refresh += 1
 
 
-def _solve_bounded(
-    A: np.ndarray,
-    c: np.ndarray,
-    col_lo: np.ndarray,
-    col_up: np.ndarray,
-    row_lo: np.ndarray,
-    row_up: np.ndarray,
-    options: SolveOptions,
-    tiebreak: np.ndarray | None = None,
-) -> tuple[str, np.ndarray, int]:
-    """Two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up, col_lo <= x <= col_up,
-    then, given ``tiebreak``, phase 3: min tiebreak.x over the optima of c."""
+@dataclass
+class _Outcome:
+    state: str
+    x: np.ndarray  # the structural columns
+    status: np.ndarray | None  # final status of the columns and the row logicals, when optimal
+    phases: tuple[int, int, int]  # pivots of phases 1, 2 and 3
+    warm: str | None  # LPSolution.warm_start
+
+
+def _cold_start(A: np.ndarray, Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, tol: float):
+    """The core over the logicals' basis, with one artificial column per row
+    whose logical starts outside its bounds; returns the core, the rows of
+    the artificials and the residual scale of phase 1."""
     m, n = A.shape
-    tol = options.tolerance
-
-    if m == 0:
-        # pure bound problem: each variable sits at whichever bound its cost prefers
-        x = np.where(c > 0, col_lo, np.where(c < 0, col_up, 0.0))
-        if np.any(~np.isfinite(x)):
-            return "unbounded", np.zeros(n), 0
-        free = c == 0
-        x[free] = np.where(
-            np.isfinite(col_lo[free]), col_lo[free], np.where(np.isfinite(col_up[free]), col_up[free], 0.0)
-        )
-        return "optimal", x, 0
-
-    # augmented system [A  -I] [x; r] = 0 with r carrying the row bounds
-    Afull = np.concatenate([A, -np.eye(m)], axis=1)
-    lo = np.concatenate([col_lo, row_lo])
-    up = np.concatenate([col_up, row_up])
     b = np.zeros(m)
-
     status = np.empty(n + m, dtype=np.int64)
     finite_lo = np.isfinite(lo[:n])
     finite_up = np.isfinite(up[:n])
@@ -242,43 +249,120 @@ def _solve_bounded(
     below = r < lo[n:] - tol
     above = r > up[n:] + tol
     infeasible_rows = np.flatnonzero(below | above)
+    if not infeasible_rows.size:
+        return _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol), infeasible_rows, 0.0
 
-    iterations = 0
-    if infeasible_rows.size:
-        # phase 1: artificials absorb the residual of each violated row
-        n_art = infeasible_rows.size
-        D = np.zeros((m, n_art))
-        art_basis = np.empty(n_art, dtype=np.int64)
-        for k, i in enumerate(infeasible_rows):
-            target = lo[n + i] if below[i] else up[n + i]
-            # row holds A_i.x - r_i + D_ik a_k = 0 with r_i pinned at the violated
-            # bound, so the artificial starts at |A_i.x - target| >= 0
-            D[i, k] = -np.sign(r[i] - target)
-            status[n + i] = _AT_LO if below[i] else _AT_UP
-            art_basis[k] = n + m + k
-        A1 = np.concatenate([Afull, D], axis=1)
-        lo1 = np.concatenate([lo, np.zeros(n_art)])
-        up1 = np.concatenate([up, np.full(n_art, np.inf)])
-        c1 = np.concatenate([np.zeros(n + m), np.ones(n_art)])
-        status1 = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int64)])
-        basis1 = basis.copy()
-        basis1[infeasible_rows] = art_basis
+    # phase 1: artificials absorb the residual of each violated row
+    n_art = infeasible_rows.size
+    D = np.zeros((m, n_art))
+    art_basis = np.empty(n_art, dtype=np.int64)
+    for k, i in enumerate(infeasible_rows):
+        target = lo[n + i] if below[i] else up[n + i]
+        # row holds A_i.x - r_i + D_ik a_k = 0 with r_i pinned at the violated
+        # bound, so the artificial starts at |A_i.x - target| >= 0
+        D[i, k] = -np.sign(r[i] - target)
+        status[n + i] = _AT_LO if below[i] else _AT_UP
+        art_basis[k] = n + m + k
+    A1 = np.concatenate([Afull, D], axis=1)
+    lo1 = np.concatenate([lo, np.zeros(n_art)])
+    up1 = np.concatenate([up, np.full(n_art, np.inf)])
+    c1 = np.concatenate([np.zeros(n + m), np.ones(n_art)])
+    status1 = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int64)])
+    basis1 = basis.copy()
+    basis1[infeasible_rows] = art_basis
+    return _Core(A1, b, c1, lo1, up1, basis1, status1, tol), infeasible_rows, float(np.abs(r).max())
 
-        core = _Core(A1, b, c1, lo1, up1, basis1, status1, tol)
-        state, it1 = core.iterate(options.max_iterations)
-        iterations += it1
+
+def _warm_start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, start: np.ndarray, tol: float):
+    """The core over the basis of ``start``, a status over the columns of
+    ``Afull``, or the reason it cannot be used: it has not one basic entry
+    per row, or its basis matrix is singular.  Returns the outcome
+    (``LPSolution.warm_start``), the core or None, and the residual scale of
+    phase 1.  Nonbasic entries without a finite bound to sit at move to one
+    that is, or to zero if free.  Basic values outside their bounds are
+    clipped onto them, and the artificial column ``g = B (x_B - clip(x_B))``,
+    nonbasic at its upper bound 1, carries the difference; its phase-1 cost
+    is its largest entry, so the phase-1 objective is in row units."""
+    m, n_all = Afull.shape
+    if start.shape != (n_all,) or np.count_nonzero(start == _BASIC) != m:
+        return "wrong size", None, 0.0
+    basis = np.flatnonzero(start == _BASIC)
+    binv = invert_basis(Afull[:, basis])
+    if binv is None:
+        return "singular", None, 0.0
+    finite_lo, finite_up = np.isfinite(lo), np.isfinite(up)
+    kept = (start == _BASIC) | ((start == _AT_LO) & finite_lo) | ((start == _AT_UP) & finite_up)
+    status = np.where(kept, start, np.where(finite_lo, _AT_LO, np.where(finite_up, _AT_UP, _FREE))).astype(np.int64)
+
+    b = np.zeros(m)
+    xb = binv @ (b - Afull @ _nonbasic_values(lo, up, status))
+    excess = xb - np.minimum(np.maximum(xb, lo[basis]), up[basis])
+    if not np.any(np.abs(excess) > tol):
+        return "accepted", _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol, binv), 0.0
+    g = Afull[:, basis] @ excess
+    scale = float(np.abs(g).max())
+    c1 = np.zeros(n_all + 1)
+    c1[-1] = scale
+    core = _Core(
+        np.concatenate([Afull, g[:, None]], axis=1), b, c1, np.append(lo, 0.0), np.append(up, 1.0),
+        basis, np.append(status, _AT_UP), tol, binv,
+    )
+    return "accepted", core, scale
+
+
+def _solve_bounded(
+    A: np.ndarray,
+    c: np.ndarray,
+    col_lo: np.ndarray,
+    col_up: np.ndarray,
+    row_lo: np.ndarray,
+    row_up: np.ndarray,
+    options: SolveOptions,
+    tiebreak: np.ndarray | None = None,
+    start: np.ndarray | None = None,
+) -> _Outcome:
+    """Two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up, col_lo <= x <= col_up,
+    then, given ``tiebreak``, phase 3: min tiebreak.x over the optima of c.
+    ``start`` is a status over the columns and then the row logicals; if it
+    is usable, phase 1 starts from its basis, otherwise from the logicals."""
+    m, n = A.shape
+    tol = options.tolerance
+
+    if m == 0:
+        # pure bound problem: each variable sits at whichever bound its cost prefers
+        x = np.where(c > 0, col_lo, np.where(c < 0, col_up, 0.0))
+        if np.any(~np.isfinite(x)):
+            return _Outcome("unbounded", np.zeros(n), None, (0, 0, 0), None)
+        free = c == 0
+        x[free] = np.where(
+            np.isfinite(col_lo[free]), col_lo[free], np.where(np.isfinite(col_up[free]), col_up[free], 0.0)
+        )
+        status = np.where(x == col_lo, _AT_LO, np.where(x == col_up, _AT_UP, _FREE))
+        return _Outcome("optimal", x, status, (0, 0, 0), None)
+
+    # augmented system [A  -I] [x; r] = 0 with r carrying the row bounds
+    Afull = np.concatenate([A, -np.eye(m)], axis=1)
+    lo = np.concatenate([col_lo, row_lo])
+    up = np.concatenate([col_up, row_up])
+
+    warm, core, art_rows = None, None, None
+    if start is not None:
+        warm, core, scale = _warm_start(Afull, c, lo, up, start, tol)
+    if core is None:
+        core, art_rows, scale = _cold_start(A, Afull, c, lo, up, tol)
+    phases = [0, 0, 0]
+    if core.A.shape[1] > n + m:
+        # phase 1: minimize the artificials
+        state, phases[0] = core.iterate(options.max_iterations)
         if state == "iteration_limit":
-            return "iteration_limit", core.full_x()[:n], iterations
-        if float(c1 @ core.full_x()) > tol * max(1.0, np.abs(r).max()):
-            return "infeasible", core.full_x()[:n], iterations
-        # keep any artificials pinned at zero through phase 2
+            return _Outcome(state, core.full_x()[:n], None, tuple(phases), warm)
+        if float(core.c @ core.full_x()) > tol * max(1.0, scale):
+            return _Outcome("infeasible", core.full_x()[:n], None, tuple(phases), warm)
+        # keep the artificials pinned at zero through phases 2 and 3
         core.lo[n + m :] = 0.0
         core.up[n + m :] = 0.0
-        core.c = np.concatenate([c, np.zeros(m + n_art)])
-    else:
-        core = _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol)
-    state, it2 = core.iterate(options.max_iterations - iterations)
-    iterations += it2
+        core.c = np.concatenate([c, np.zeros(core.A.shape[1] - n)])
+    state, phases[1] = core.iterate(options.max_iterations - phases[0])
 
     if state == "optimal" and tiebreak is not None:
         # phase 3: fix every nonbasic column that the price duals price at
@@ -291,9 +375,22 @@ def _solve_bounded(
         core.lo[at_up] = core.up[at_up]
         core.c = np.zeros_like(core.c)
         core.c[:n] = tiebreak
-        _, it3 = core.iterate(options.max_iterations - iterations)
-        iterations += it3
-    return state, core.full_x()[:n], iterations
+        _, phases[2] = core.iterate(options.max_iterations - phases[0] - phases[1])
+
+    final = None
+    if state == "optimal":
+        # an artificial still basic (at zero) hands its place to a nonbasic
+        # row logical, which enters at its current value: a cold artificial
+        # to the logical of its row, the one column parallel to it, the warm
+        # one to the logical with the largest entry in its row of the inverse
+        final = core.status[: n + m].copy()
+        left = np.flatnonzero(core.basis >= n + m)
+        if art_rows is not None:
+            final[n + art_rows[core.basis[left] - (n + m)]] = _BASIC
+        elif left.size:  # the warm start's artificial
+            logicals = np.flatnonzero(final[n:] != _BASIC)
+            final[n + logicals[np.abs(core.binv[left[0], logicals]).argmax()]] = _BASIC
+    return _Outcome(state, core.full_x()[:n], final, tuple(phases), warm)
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +415,39 @@ class _Eliminations:
         if self.rest_rows.size:
             np.add.at(sums, self.rest_rows, self.rest_vals * x[self.rest_cols])
         x[self.cols] = (self.rhs - sums[self.rows]) / self.coefs
+
+    def reduce_basis(self, basis: Basis, kept_cols: np.ndarray, kept_rows: np.ndarray) -> np.ndarray:
+        """The reduced program's status from a basis of the program.  The
+        logical of an eliminated row carries the eliminated column's part of
+        the row: it is basic if the column or the row's own logical is, and
+        otherwise takes the column's bound, swapped when the coefficient is
+        positive (the logical then falls as the column rises)."""
+        rows = basis.rows.copy()
+        col = basis.cols[self.cols]
+        rows[self.rows] = np.where(
+            (col == _BASIC) | (basis.rows[self.rows] == _BASIC), _BASIC, _swap_bounds(col, self.coefs > 0)
+        )
+        return np.concatenate([basis.cols[kept_cols], rows[kept_rows]])
+
+    def expand_basis(self, status: np.ndarray, n: int, m: int, kept_cols: np.ndarray,
+                     kept_rows: np.ndarray) -> Basis:
+        """The inverse of ``reduce_basis``: an eliminated column takes its
+        row logical's status, and the logical of its equality row sits at
+        its right-hand side.  The logical of a dropped empty row is basic."""
+        cols = np.full(n, _AT_LO, dtype=np.int64)
+        cols[kept_cols] = status[: kept_cols.size]
+        rows = np.full(m, _BASIC, dtype=np.int64)
+        rows[kept_rows] = status[kept_cols.size :]
+        logical = rows[self.rows]
+        cols[self.cols] = np.where(logical == _BASIC, _BASIC, _swap_bounds(logical, self.coefs > 0))
+        rows[self.rows] = _AT_LO
+        return Basis(cols, rows)
+
+
+def _swap_bounds(status: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """``status`` with AT_LO and AT_UP exchanged where ``where`` holds."""
+    swapped = np.where(status == _AT_LO, _AT_UP, np.where(status == _AT_UP, _AT_LO, status))
+    return np.where(where, swapped, status)
 
 
 def _presolve(lp: LinearProgram, tol: float):
@@ -405,6 +535,7 @@ def _presolve(lp: LinearProgram, tol: float):
         row_lo[keep_idx],
         row_up[keep_idx],
         kept_cols,
+        keep_idx,
         [cost[kept_cols] for cost in costs],
         eliminations,
     )
@@ -417,29 +548,46 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
     raised.  On iteration_limit the best iterate reached is returned; a
     limit reached while minimizing ``lp.tiebreak`` still returns the optimal
     point reached.  ``iterations`` counts the pivots of every phase.
+
+    ``options.basis`` warm-starts the solve from a basis in the program's
+    layout; a basis of the wrong size or a singular one is set aside for the
+    cold start, and ``warm_start`` says which happened.  An optimal solution
+    carries its final basis in the same layout.
     """
     options = options or SolveOptions()
     lp.validate()
     tol = options.tolerance
+    n, m = lp.n_cols, lp.n_rows
+    given = options.basis
+    fits = given is not None and given.cols.shape == (n,) and given.rows.shape == (m,)
 
     if options.presolve:
         reduced = _presolve(lp, tol)
         if reduced is None:
-            return LPSolution("infeasible", np.zeros(lp.n_cols), np.nan, 0)
-        A, row_lo, row_up, kept_cols, costs, eliminations = reduced
-        state, x_red, iterations = _solve_bounded(
-            A, costs[0], lp.col_lo[kept_cols], lp.col_up[kept_cols], row_lo, row_up, options, *costs[1:]
+            return LPSolution("infeasible", np.zeros(n), np.nan, 0)
+        A, row_lo, row_up, kept_cols, kept_rows, costs, eliminations = reduced
+        start = eliminations.reduce_basis(given, kept_cols, kept_rows) if fits else None
+        out = _solve_bounded(
+            A, costs[0], lp.col_lo[kept_cols], lp.col_up[kept_cols], row_lo, row_up, options, *costs[1:],
+            start=start,
         )
-        x = np.zeros(lp.n_cols)
-        x[kept_cols] = x_red
-        eliminations.recover(x, lp.n_rows)
+        x = np.zeros(n)
+        x[kept_cols] = out.x
+        eliminations.recover(x, m)
+        basis = None
+        if out.status is not None:
+            basis = eliminations.expand_basis(out.status, n, m, kept_cols, kept_rows)
     else:
-        state, x, iterations = _solve_bounded(
-            lp.dense(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options, lp.tiebreak
+        start = np.concatenate([given.cols, given.rows]) if fits else None
+        out = _solve_bounded(
+            lp.dense(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options, lp.tiebreak, start=start,
         )
+        x = out.x
+        basis = None if out.status is None else Basis(out.status[:n], out.status[n:])
 
-    if state == "optimal":
+    if out.state == "optimal":
         # tidy roundoff against the declared bounds
         x = np.minimum(np.maximum(x, lp.col_lo), lp.col_up)
-    objective = float(lp.c @ x) if state in ("optimal", "iteration_limit") else np.nan
-    return LPSolution(state, x, objective, iterations)
+    objective = float(lp.c @ x) if out.state in ("optimal", "iteration_limit") else np.nan
+    warm = out.warm if fits or given is None else "wrong size"
+    return LPSolution(out.state, x, objective, sum(out.phases), basis, out.phases, warm)

@@ -14,7 +14,7 @@ from vppdispatch.controller import (
     run_sofo,
 )
 from vppdispatch import controller
-from vppdispatch.dispatch import LPSolution, build_deterministic, solve_lp
+from vppdispatch.dispatch import Basis, LPSolution, build_deterministic, extract_plan, solve_lp
 from vppdispatch.forecast import TrainConfig, UpdateScheme
 from vppdispatch.scenario import Forecasts
 from vppdispatch.simulator import PerturbationConfig
@@ -119,6 +119,120 @@ class TestLPFallback:
         assert [r.levelno for r in logged] == [logging.DEBUG]
         message = logged[0].getMessage()
         assert "step 24" in message and "iteration_limit" in message and "17 iterations" in message
+
+    def test_replan_after_fallback_starts_cold(self, monkeypatch):
+        inst = _small_instance(days=2)
+        cfg = replace(ORACLE_CFG, horizon_T=12, T_rl=1)
+        starts = []
+
+        def second_solve_hits_limit(lp, options=None):
+            starts.append(options.basis)
+            if len(starts) == 2:
+                return LPSolution("iteration_limit", np.zeros(lp.n_cols), 0.0, 17)
+            return solve_lp(lp, options)
+
+        monkeypatch.setattr(controller, "solve_lp", second_solve_hits_limit)
+        ep = run_sofo(inst, Split(0, 0), cfg)
+        assert ep.lp_fallbacks == 1 and len(starts) == 48
+        assert starts[0] is None and starts[1] is not None
+        assert starts[2] is None  # the fallback left no basis to shift
+        assert all(start is not None for start in starts[3:])
+        assert (ep.warm_starts, ep.cold_starts) == (45, 3)
+
+
+class TestWarmStartedEpisodes:
+    """Every re-plan warm-started from the previous plan's shifted basis
+    against the same program solved cold, on small versions of the three
+    benchmark workloads, and whole episodes against episodes that always
+    start cold."""
+
+    @staticmethod
+    def _workloads():
+        district = dict(n_buildings=2, noise_load=0.08, noise_solar=0.15, pv_scale=2.0, battery_hours=5.0)
+        quick = dict(
+            forecaster="linear", n_scenarios=50, lag_K=24, val_window=48, T_ft=999, finetune_cooldown=999,
+            scheme=UpdateScheme("noft"),
+        )
+        return {
+            "clairvoyant_rolling": (
+                generate_synthetic(SyntheticSpec(days=4, battery_c_rate=0.2, seed=4, **district)),
+                Split(0, 24),
+                ControllerConfig(horizon_T=48, forecaster="oracle", use_scenarios=False, scheme=UpdateScheme("noft")),
+                None,
+            ),
+            "sofo_wide": (
+                generate_synthetic(SyntheticSpec(days=10, battery_c_rate=0.15, seed=21, **district)),
+                Split(7 * 24, 8 * 24),
+                ControllerConfig(**{**quick, "n_scenarios": 300}),
+                None,
+            ),
+            "sofo_drift": (
+                generate_synthetic(SyntheticSpec(days=10, battery_c_rate=0.3, seed=42, **district)),
+                Split(7 * 24, 8 * 24),
+                ControllerConfig(**quick),
+                PerturbationConfig(efficiency_true={"bat_b0": (0.93, 0.93), "bat_b1": (0.93, 0.93)}),
+            ),
+        }
+
+    @pytest.mark.parametrize("name", ["clairvoyant_rolling", "sofo_wide", "sofo_drift"])
+    def test_warm_replans_match_cold_ones(self, name, monkeypatch):
+        inst, split, cfg, perturb = self._workloads()[name]
+        compared = []
+
+        def solve_both(lp, options=None):
+            got = solve_lp(lp, options)
+            if options.basis is not None:
+                cold = solve_lp(lp)
+                assert got.status == cold.status == "optimal"
+                assert abs(got.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+                plan, cold_plan = extract_plan(got, lp), extract_plan(cold, lp)
+                for field in ("p_grid", "p_gen", "p_charge", "p_discharge", "soc"):
+                    assert np.allclose(getattr(plan, field), getattr(cold_plan, field), rtol=0, atol=1e-9)
+                compared.append(got.warm_start)
+            return got
+
+        with monkeypatch.context() as patched:
+            patched.setattr(controller, "solve_lp", solve_both)
+            warm = controller.run_episode(inst, split, cfg, name, perturb)
+        with monkeypatch.context() as patched:
+            patched.setattr(controller, "shift_basis", lambda *args: None)
+            cold = controller.run_episode(inst, split, cfg, name, perturb)
+
+        overlapping = len(warm.dispatch_seconds) - 1
+        assert len(compared) == overlapping
+        assert warm.warm_starts == compared.count("accepted") >= 0.95 * overlapping
+        assert warm.warm_starts + warm.cold_starts == len(warm.dispatch_seconds)
+        assert (cold.warm_starts, cold.cold_starts) == (0, len(cold.dispatch_seconds))
+        for field in ("charge", "discharge", "soc", "consumption"):
+            assert np.allclose(getattr(warm, field), getattr(cold, field), rtol=0, atol=1e-9), field
+        for cost in ("emission", "price", "grid"):
+            a, b = getattr(warm.costs, cost), getattr(cold.costs, cost)
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), cost
+
+    def test_day_ahead_replans_start_cold(self, monkeypatch):
+        inst = _small_instance(days=3)
+        starts = []
+
+        def record(lp, options=None):
+            starts.append(options.basis)
+            return solve_lp(lp, options)
+
+        monkeypatch.setattr(controller, "solve_lp", record)
+        ep = run_mpc(inst, Split(0, 0), ORACLE_CFG)
+        assert len(starts) == 3 and all(start is None for start in starts)
+        assert (ep.warm_starts, ep.cold_starts) == (0, 3)
+
+    def test_rejected_basis_is_logged(self, caplog, monkeypatch):
+        inst = _small_instance(days=2)
+        cfg = replace(ORACLE_CFG, horizon_T=6, T_rl=1)
+        wrong = Basis(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        monkeypatch.setattr(controller, "shift_basis", lambda *args: wrong)
+        with caplog.at_level(logging.DEBUG, logger="vppdispatch.controller"):
+            ep = run_sofo(inst, Split(0, 0), cfg)
+        assert (ep.warm_starts, ep.cold_starts) == (0, 48)
+        logged = [r for r in caplog.records if r.name == "vppdispatch.controller"]
+        assert len(logged) == 47 and all(r.levelno == logging.DEBUG for r in logged)
+        assert logged[0].getMessage() == "re-plan at step 1 starts cold: warm basis wrong size"
 
 
 def _trained_setup(days=12, drift=None):

@@ -14,9 +14,11 @@ from vppdispatch.dispatch import (
     build_deterministic,
     build_stochastic,
     extract_plan,
+    shift_basis,
     solve_lp,
 )
-from vppdispatch.dispatch.lp import LPSolution
+from vppdispatch.dispatch import build as build_module
+from vppdispatch.dispatch.lp import BASIC, LPSolution
 from vppdispatch.scenario import Forecasts, ScenarioSet, Uncertainty, sample_scenarios
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
 
@@ -91,6 +93,25 @@ class TestDeterministicBuild:
         assert np.array_equal(build_deterministic(inst, _forecasts(inst)).tiebreak, tb)
         scen = sample_scenarios(_forecasts(inst), Uncertainty.zero(), N=3, seed=0)
         assert np.array_equal(build_stochastic(inst, scen).tiebreak, tb)
+
+    def test_tiebreak_draws_shared_per_shape(self, two_building_instance):
+        """Builds of one shape share one read-only draw, the draw that
+        ``default_rng(0)`` makes for that shape."""
+        inst = two_building_instance.slice(0, 24)
+        S, G, T = len(inst.storages), len(inst.generators), 24
+        first = build_module._tiebreak_weights(S, G, T)
+        assert build_module._tiebreak_weights(S, G, T) is first
+        assert build_module._tiebreak_weights(S, G, T - 1) is not first
+        u, v = first
+        assert not u.flags.writeable and not v.flags.writeable
+        rng = np.random.default_rng(0)
+        assert np.array_equal(u, rng.uniform(size=(2, S, T)))
+        assert np.array_equal(v, rng.uniform(size=(G, T)))
+        lp = build_deterministic(inst, _forecasts(inst))
+        cols = lp.meta["columns"]
+        assert np.array_equal(lp.tiebreak[cols["charge"]], 1.0 + u[0])
+        assert np.array_equal(lp.tiebreak[cols["discharge"]], 1.0 + u[1])
+        assert np.array_equal(lp.tiebreak[cols["gen"]], 1.0 + v)
 
     def test_horizon_mismatch_rejected(self):
         inst = _instance([1.0, 2.0])
@@ -276,3 +297,64 @@ class TestExtractPlan:
         assert validate_plan(plan, inst, gen_caps=caps) == []
         both = (plan.p_charge > 0) & (plan.p_discharge > 0)
         assert not both.any()
+
+
+class TestShiftBasis:
+    """Index arithmetic over the build layout; whether a shifted basis
+    warm-starts the solver is tested with the solver."""
+
+    @staticmethod
+    def _program(instance, start, T):
+        window = instance.slice(start, T)
+        return build_deterministic(window, _forecasts(window))
+
+    def test_layout_covers_every_column_and_row(self, two_building_instance):
+        lp = self._program(two_building_instance, 0, 24)
+        cols = np.concatenate([lp.meta["columns"][q].ravel() for q in build_module.COLUMN_QUANTITIES])
+        rows = np.concatenate([lp.meta["rows"][q].ravel() for q in build_module.ROW_KINDS])
+        assert np.array_equal(np.sort(cols), np.arange(lp.n_cols))
+        assert np.array_equal(np.sort(rows), np.arange(lp.n_rows))
+        for q in build_module.COLUMN_QUANTITIES:
+            index = lp.meta["columns"][q]
+            steps = np.broadcast_to(np.arange(24), index.shape)
+            assert all(lp.col_names[j].quantity == q and lp.col_names[j].timestamp == t
+                       for j, t in zip(index.ravel(), steps.ravel())), q
+
+    def test_zero_shift_is_the_identity(self, two_building_instance):
+        lp = self._program(two_building_instance, 0, 24)
+        basis = solve_lp(lp).basis
+        same = shift_basis(basis, lp, lp, 0)
+        assert np.array_equal(same.cols, basis.cols) and np.array_equal(same.rows, basis.rows)
+
+    def test_statuses_move_back_k_steps(self, two_building_instance):
+        source = self._program(two_building_instance, 0, 24)
+        target = self._program(two_building_instance, 3, 24)
+        basis = solve_lp(source).basis
+        shifted = shift_basis(basis, source, target, 3)
+        src, dst = source.meta, target.meta
+        for q in build_module.COLUMN_QUANTITIES:
+            assert np.array_equal(shifted.cols[dst["columns"][q][..., :21]], basis.cols[src["columns"][q][..., 3:]]), q
+        for q in build_module.ROW_KINDS:
+            kept = shifted.rows[dst["rows"][q][..., :21]]
+            old = basis.rows[src["rows"][q][..., 3:]]
+            if q == "dynamics":  # the first kept rows may take in logicals
+                kept, old = kept[:, 1:], old[:, 1:]
+            assert np.array_equal(kept, old), q
+        # the three new steps' grid and SOC columns are basic
+        assert np.all(shifted.cols[dst["columns"]["grid"][21:]] == BASIC)
+        assert np.all(shifted.cols[dst["columns"]["soc"][:, 21:]] == BASIC)
+        assert np.count_nonzero(shifted.cols == BASIC) + np.count_nonzero(shifted.rows == BASIC) == target.n_rows
+
+    def test_no_shared_step_or_device_gives_none(self, two_building_instance):
+        source = self._program(two_building_instance, 0, 24)
+        basis = solve_lp(source).basis
+        assert shift_basis(basis, source, self._program(two_building_instance, 24, 24), 24) is None
+        other = _instance([1.0] * 24)
+        assert shift_basis(basis, source, build_deterministic(other, _forecasts(other)), 1) is None
+
+    def test_shrinking_horizon_keeps_the_basis_size(self, two_building_instance):
+        source = self._program(two_building_instance, 20, 24)
+        target = self._program(two_building_instance, 21, 23)
+        shifted = shift_basis(solve_lp(source).basis, source, target, 1)
+        assert shifted.cols.shape == (target.n_cols,) and shifted.rows.shape == (target.n_rows,)
+        assert np.count_nonzero(shifted.cols == BASIC) + np.count_nonzero(shifted.rows == BASIC) == target.n_rows

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from vppdispatch.dispatch import (
-    ColumnName, LPBuilder, build_deterministic, build_stochastic, extract_plan, solve_lp, write_mps,
+    ColumnName, LPBuilder, build_deterministic, build_stochastic, extract_plan, shift_basis, solve_lp,
+    write_mps,
 )
 from vppdispatch.dispatch import simplex
-from vppdispatch.dispatch.lp import LPSolution
+from vppdispatch.dispatch.lp import BASIC, Basis, LPSolution
 from vppdispatch.dispatch.simplex import SolveOptions
 from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
@@ -71,15 +72,15 @@ def unbounded_lp():
     return b.build()
 
 
-def dispatch_lp(T, initial_soc=0.0, n_scenarios=None):
+def dispatch_lp(T, initial_soc=0.0, n_scenarios=None, start=7):
     """The clairvoyant (or, with ``n_scenarios``, the stochastic) dispatch
-    program over steps [7, 7+T) of an 8-day two-building district, its
-    batteries starting at ``initial_soc`` of their capacity."""
+    program over steps [start, start+T) of an 8-day two-building district,
+    its batteries starting at ``initial_soc`` of their capacity."""
     district = generate_synthetic(SyntheticSpec(
         days=8, n_buildings=2, noise_load=0.08, noise_solar=0.15, pv_scale=2.0,
         battery_hours=5.0, battery_c_rate=0.2, seed=3,
     ))
-    window = district.slice(7, T)
+    window = district.slice(start, T)
     window = replace(window, storages=tuple(
         replace(s, e_initial=initial_soc * s.e_max) for s in window.storages
     ))
@@ -92,6 +93,18 @@ def dispatch_lp(T, initial_soc=0.0, n_scenarios=None):
         return build_deterministic(window, fc)
     unc = Uncertainty(solar=np.full(T, 0.2), load=np.full(T, 0.15), price=np.full(T, 0.02))
     return build_stochastic(window, sample_scenarios(fc, unc, N=n_scenarios, seed=1))
+
+
+def shifted_start(T, k=1, **kwargs):
+    """``dispatch_lp(T, **kwargs)`` and a start basis for it: the optimal
+    basis of the window ``k`` steps earlier, shifted."""
+    lp = dispatch_lp(T, **kwargs)
+    source = dispatch_lp(T, start=7 - k, **kwargs)
+    return lp, shift_basis(solve_lp(source).basis, source, lp, k)
+
+
+def basic_count(basis):
+    return np.count_nonzero(basis.cols == BASIC) + np.count_nonzero(basis.rows == BASIC)
 
 
 class TestTinyPrograms:
@@ -220,6 +233,17 @@ class TestPivotPathMatchesRebuildingLoop:
         got = self._check(build(), monkeypatch, SolveOptions(max_iterations=0))
         assert got.status == "iteration_limit"
 
+    def test_warm_start(self, monkeypatch):
+        lp, start = shifted_start(48, initial_soc=0.5)
+        got = self._check(lp, monkeypatch, SolveOptions(basis=start))
+        assert got.status == "optimal" and got.warm_start == "accepted" and got.phase_iterations[0] > 0
+
+    def test_phase_counts(self, monkeypatch):
+        lp = dispatch_lp(48, initial_soc=0.5)
+        calls, _ = self._trace(lp, monkeypatch)
+        got = solve_lp(lp)
+        assert list(got.phase_iterations) == calls and got.iterations == sum(calls)
+
     def test_iteration_limits(self, monkeypatch):
         lp = dispatch_lp(48, initial_soc=0.5)
         (phase1, phase2, phase3), _ = self._trace(lp, monkeypatch)
@@ -324,6 +348,101 @@ class TestPlanIndependence:
         assert lp.tiebreak @ cut.x > lp.tiebreak @ full.x  # phase 3 had not finished
 
 
+class TestWarmStart:
+    """A re-plan warm-started from its neighbour's shifted basis against the
+    same program solved cold."""
+
+    @DISPATCH_CASES
+    def test_warm_and_cold_plans_agree(self, args):
+        lp, start = shifted_start(**args)
+        cold, warm = solve_lp(lp), solve_lp(lp, SolveOptions(basis=start))
+        assert cold.warm_start is None and warm.warm_start == "accepted"
+        assert cold.status == warm.status == "optimal"
+        assert warm.iterations < cold.iterations
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        plan, cold_plan = extract_plan(warm, lp), extract_plan(cold, lp)
+        for field in PLAN_FIELDS:
+            assert np.allclose(getattr(plan, field), getattr(cold_plan, field), rtol=0, atol=1e-9), field
+
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_own_basis_needs_no_pivot(self, presolve):
+        lp = dispatch_lp(48, initial_soc=0.5)
+        cold = solve_lp(lp)
+        assert basic_count(cold.basis) == lp.n_rows
+        again = solve_lp(lp, SolveOptions(presolve=presolve, basis=cold.basis))
+        assert again.warm_start == "accepted" and again.iterations == 0
+        assert np.allclose(again.x, cold.x, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _singular(lp, basis):
+        """``basis`` with one battery's charge and discharge columns, which
+        are parallel once presolve substitutes out the grid, both basic."""
+        cols = basis.cols.copy()
+        charge, discharge = lp.meta["columns"]["charge"].ravel(), lp.meta["columns"]["discharge"].ravel()
+        t = np.flatnonzero((cols[charge] == BASIC) != (cols[discharge] == BASIC))[0]
+        cols[charge[t]] = cols[discharge[t]] = BASIC
+        soc = lp.meta["columns"]["soc"].ravel()
+        cols[soc[np.flatnonzero(cols[soc] == BASIC)[0]]] = 0  # keep the count
+        return Basis(cols, basis.rows)
+
+    @pytest.mark.parametrize("case", ["singular", "wrong size", "no overlap"])
+    def test_unusable_start_gives_the_cold_result(self, case):
+        lp = dispatch_lp(48, initial_soc=0.5)
+        cold = solve_lp(lp)
+        if case == "singular":
+            start = self._singular(lp, cold.basis)
+        elif case == "wrong size":
+            start = solve_lp(dispatch_lp(24, initial_soc=0.5)).basis
+        else:
+            source = dispatch_lp(48, initial_soc=0.5, start=0)
+            assert shift_basis(solve_lp(source).basis, source, lp, 48) is None
+            start = None
+        got = solve_lp(lp, SolveOptions(basis=start))
+        assert got.warm_start == (None if start is None else case)
+        assert got.iterations == cold.iterations and got.phase_iterations == cold.phase_iterations
+        assert np.array_equal(got.x, cold.x)
+
+    def test_infeasible_program_stays_infeasible(self):
+        lp, start = shifted_start(48, initial_soc=0.5)
+        balance = lp.meta["rows"]["balance"][5]
+        lp.row_lo[balance] = lp.row_up[balance] = -1e3  # the district would have to export 1 MW
+        got = solve_lp(lp, SolveOptions(basis=start))
+        assert got.warm_start == "accepted" and got.status == "infeasible"
+        assert solve_lp(lp).status == "infeasible"
+
+    def test_iteration_limit_in_warm_phase_one(self):
+        lp, start = shifted_start(48, initial_soc=0.5)
+        phase1 = solve_lp(lp, SolveOptions(basis=start)).phase_iterations[0]
+        assert phase1 > 0
+        got = solve_lp(lp, SolveOptions(max_iterations=phase1 // 2, basis=start))
+        assert got.warm_start == "accepted" and got.status == "iteration_limit"
+        assert got.phase_iterations == (phase1 // 2, 0, 0) and got.basis is None
+
+    def test_random_programs_from_perturbed_bases(self):
+        """Random programs warm-started from the optimal basis of a copy with
+        other costs and shifted rows (the same matrix, so the basis is
+        always usable): the cold optimum, and a full basis."""
+        rng = np.random.default_rng(11)
+        infeasible_starts = 0
+        for trial in range(40):
+            c, A, row_lo, row_up, col_lo, col_up = random_bounded_lp(rng)
+            lp = _build(c, A, row_lo, row_up, col_lo, col_up)
+            shift = rng.uniform(-0.3, 0.3, A.shape[0])
+            neighbour = _build(c + rng.normal(0, 0.3, c.shape), A, row_lo + shift, row_up + shift, col_lo, col_up)
+            source = solve_lp(neighbour)
+            if source.status != "optimal":
+                continue
+            for presolve in (True, False):
+                cold = solve_lp(lp, SolveOptions(presolve=presolve))
+                warm = solve_lp(lp, SolveOptions(presolve=presolve, basis=source.basis))
+                assert warm.warm_start == "accepted", trial
+                assert warm.status == cold.status == "optimal", trial
+                assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective)), trial
+                assert basic_count(warm.basis) == lp.n_rows, trial
+                infeasible_starts += warm.phase_iterations[0] > 0
+        assert infeasible_starts >= 5  # warm phase 1 ran
+
+
 def _highs(lp, cost, cap=None):
     """HiGHS through ``scipy.optimize.linprog`` on ``min cost.x`` over the
     program's rows and bounds, plus ``cap[0].x <= cap[1]`` if given."""
@@ -346,16 +465,18 @@ def _highs(lp, cost, cap=None):
 
 @pytest.mark.parametrize("T", [24, 96, 168])
 def test_dispatch_programs_match_highs(T):
-    """Objective against HiGHS; x checked against rows and bounds.  The
-    programs are degenerate, so the two vertices may differ."""
-    lp = dispatch_lp(T, initial_soc=0.5)
+    """Objective against HiGHS; x checked against rows and bounds, solved
+    cold and warm-started from the neighbouring window's shifted basis.  The
+    programs are degenerate, so the vertices may differ."""
+    lp, start = shifted_start(T, initial_soc=0.5)
     res = _highs(lp, lp.c)
-    got = solve_lp(lp)
-    assert got.status == "optimal"
-    assert abs(got.objective - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
-    activity = lp.dense() @ got.x
-    assert np.all(activity >= lp.row_lo - 1e-7) and np.all(activity <= lp.row_up + 1e-7)
-    assert np.all(got.x >= lp.col_lo - 1e-7) and np.all(got.x <= lp.col_up + 1e-7)
+    for got in (solve_lp(lp), solve_lp(lp, SolveOptions(basis=start))):
+        assert got.status == "optimal"
+        assert abs(got.objective - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+        activity = lp.dense() @ got.x
+        assert np.all(activity >= lp.row_lo - 1e-7) and np.all(activity <= lp.row_up + 1e-7)
+        assert np.all(got.x >= lp.col_lo - 1e-7) and np.all(got.x <= lp.col_up + 1e-7)
+    assert got.warm_start == "accepted"
 
 
 class TestDeterminism:
