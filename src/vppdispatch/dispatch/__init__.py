@@ -1,7 +1,7 @@
 """Linear programming layer: model builders, solver and plan extraction."""
 
 from .build import build_deterministic, build_stochastic, extract_plan, shift_basis
-from .lp import Basis, ColumnName, LinearProgram, LPBuilder, LPSolution, write_mps
+from .lp import Basis, LinearProgram, LPSolution, write_mps
 from .simplex import SolveOptions, solve_lp
 
 __all__ = [
@@ -10,9 +10,7 @@ __all__ = [
     "extract_plan",
     "shift_basis",
     "Basis",
-    "ColumnName",
     "LinearProgram",
-    "LPBuilder",
     "LPSolution",
     "write_mps",
     "SolveOptions",

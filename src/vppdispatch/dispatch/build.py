@@ -37,7 +37,10 @@ The weights are drawn once per (storages, generators, steps) shape.
 
 Every program has the same layout, recorded in ``meta["columns"]`` and
 ``meta["rows"]``: one column per quantity, device and step, one SOC
-dynamics row per storage and step, one balance row per step.  Successive
+dynamics row per storage and step, one balance row per step.  The builder
+computes every index of that layout, and the bounds, costs and triplets
+over it, with array arithmetic; nothing is appended one entry at a time.
+The program is validated where it is solved.  Successive
 re-plans of a rolling horizon are the same program one step on, so
 ``shift_basis`` carries the optimal basis of one into a start basis for the
 next by index arithmetic over that layout.
@@ -52,7 +55,7 @@ import numpy as np
 
 from ..domain import DispatchPlan, ProblemInstance
 from ..scenario import Forecasts, ScenarioSet
-from .lp import AT_LO, BASIC, Basis, ColumnName, LinearProgram, LPBuilder, LPSolution, invert_basis
+from .lp import AT_LO, BASIC, Basis, LinearProgram, LPSolution, invert_basis
 
 COLUMN_QUANTITIES = ("grid", "gen", "charge", "discharge", "soc")
 ROW_KINDS = ("dynamics", "balance")
@@ -64,30 +67,6 @@ def _check_horizon(instance: ProblemInstance, *series: np.ndarray) -> int:
         if np.asarray(s).shape[-1] != T:
             raise ValueError(f"forecast length {np.asarray(s).shape[-1]} != horizon {T}")
     return T
-
-
-def _add_shared_columns(b: LPBuilder, instance: ProblemInstance, gen_caps: np.ndarray, T: int):
-    """Generation, charge, discharge and SOC columns plus SOC dynamics rows."""
-    dt = instance.grid.step_hours
-    gen = {}
-    for gi, g in enumerate(instance.generators):
-        for t in range(T):
-            up = min(g.p_max_capacity, float(gen_caps[gi, t]))
-            gen[gi, t] = b.add_col(ColumnName("gen", g.id, t), float(g.p_min[t]), up)
-    chg, dis, soc, dyn = {}, {}, {}, {}
-    for si, s in enumerate(instance.storages):
-        for t in range(T):
-            chg[si, t] = b.add_col(ColumnName("charge", s.id, t), 0.0, s.p_charge_max)
-            dis[si, t] = b.add_col(ColumnName("discharge", s.id, t), 0.0, s.p_discharge_max)
-            soc[si, t] = b.add_col(ColumnName("soc", s.id, t), s.e_min, s.e_max)
-        for t in range(T):
-            entries = [(soc[si, t], 1.0), (chg[si, t], -dt), (dis[si, t], dt)]
-            if t == 0:
-                dyn[si, t] = b.add_row(entries, s.e_initial, s.e_initial)
-            else:
-                entries.append((soc[si, t - 1], -1.0))
-                dyn[si, t] = b.add_row(entries, 0.0, 0.0)
-    return gen, chg, dis, soc, dyn
 
 
 @lru_cache(maxsize=256)
@@ -108,37 +87,72 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     ``forecasts`` supplies solar capacity per generator, load per building
     and price per step; realized series can be passed for a clairvoyant
     plan.
+
+    Columns: the grid draw per step, then each generator's output per step,
+    then per storage its charge, discharge and SOC, interleaved step by
+    step.  Rows: SOC dynamics per storage and step, then one balance row per
+    step.  The triplets run row by row in the order of the row's terms:
+    ``soc_t - dt charge_t + dt discharge_t - soc_t-1``, then
+    ``grid_t + gens_t + discharges_t - charges_t``.
     """
     T = _check_horizon(instance, forecasts.solar, forecasts.load, forecasts.price)
-    b = LPBuilder()
-    grid_cols = [
-        b.add_col(ColumnName("grid", "", t), 0.0, np.inf, float(forecasts.price[t])) for t in range(T)
-    ]
-    gen, chg, dis, soc, dyn = _add_shared_columns(b, instance, forecasts.solar, T)
-    district_load = forecasts.load.sum(axis=0)
-    balance = []
-    for t in range(T):
-        entries = [(grid_cols[t], 1.0)]
-        entries += [(gen[gi, t], 1.0) for gi in range(len(instance.generators))]
-        entries += [(dis[si, t], 1.0) for si in range(len(instance.storages))]
-        entries += [(chg[si, t], -1.0) for si in range(len(instance.storages))]
-        balance.append(b.add_row(entries, float(district_load[t]), float(district_load[t])))
-    meta = _meta(instance, T, n_scenarios=0)
     G, S = len(instance.generators), len(instance.storages)
-    columns = meta["columns"] = {
-        "grid": np.asarray(grid_cols, dtype=np.int64),
-        "gen": _index_grid(gen, G, T),
-        "charge": _index_grid(chg, S, T),
-        "discharge": _index_grid(dis, S, T),
-        "soc": _index_grid(soc, S, T),
-    }
-    meta["rows"] = {"dynamics": _index_grid(dyn, S, T), "balance": np.asarray(balance, dtype=np.int64)}
+    dt = instance.grid.step_hours
+    steps = np.arange(T)
+    grid = steps
+    gen = T + T * np.arange(G)[:, None] + steps
+    chg = T + G * T + 3 * T * np.arange(S)[:, None] + 3 * steps
+    dis, soc = chg + 1, chg + 2
+    dyn = T * np.arange(S)[:, None] + steps
+    balance = S * T + steps
+    n, m = T + G * T + 3 * S * T, S * T + T
+
+    c = np.zeros(n)
+    c[grid] = forecasts.price
+    col_lo, col_up = np.zeros(n), np.empty(n)
+    col_up[grid] = np.inf
+    gens, stores = instance.generators, instance.storages
+    col_lo[gen] = np.array([g.p_min for g in gens], dtype=np.float64).reshape(G, T)
+    cap = np.array([g.p_max_capacity for g in gens], dtype=np.float64)[:, None]
+    solar = np.asarray(forecasts.solar, dtype=np.float64)[:G]  # generator g is building g's PV
+    col_up[gen] = np.where(solar < cap, solar, cap)  # min(cap, solar) keeps cap on a tie, as Python's min
+    col_up[chg] = np.array([s.p_charge_max for s in stores], dtype=np.float64)[:, None]
+    col_up[dis] = np.array([s.p_discharge_max for s in stores], dtype=np.float64)[:, None]
+    col_lo[soc] = np.array([s.e_min for s in stores], dtype=np.float64)[:, None]
+    col_up[soc] = np.array([s.e_max for s in stores], dtype=np.float64)[:, None]
+
+    row_lo = np.zeros(m)
+    row_lo[dyn[:, 0]] = [s.e_initial for s in stores]
+    row_lo[balance] = forecasts.load.sum(axis=0)
+
+    # the SOC of step t-1 sits three columns before that of step t; step 0 has none
+    terms = np.ones((S, T, 4), dtype=bool)
+    terms[:, 0, 3] = False
+    dyn_cols = np.stack([soc, chg, dis, soc - 3], axis=-1)[terms]
+    dyn_vals = np.broadcast_to(np.array([1.0, -dt, dt, -1.0]), (S, T, 4))[terms]
+    bal_cols = np.concatenate([grid[:, None], gen.T, dis.T, chg.T], axis=1)
+    bal_vals = np.concatenate([np.ones(1 + G + S), np.full(S, -1.0)])
     u, v = _tiebreak_weights(S, G, T)
-    tiebreak = np.zeros(len(b.c))
-    tiebreak[columns["charge"]] = 1.0 + u[0]
-    tiebreak[columns["discharge"]] = 1.0 + u[1]
-    tiebreak[columns["gen"]] = 1.0 + v
-    return b.build(meta=meta, tiebreak=tiebreak)
+    tiebreak = np.zeros(n)
+    tiebreak[chg] = 1.0 + u[0]
+    tiebreak[dis] = 1.0 + u[1]
+    tiebreak[gen] = 1.0 + v
+
+    meta = _meta(instance, T, n_scenarios=0)
+    meta["columns"] = {"grid": grid, "gen": gen, "charge": chg, "discharge": dis, "soc": soc}
+    meta["rows"] = {"dynamics": dyn, "balance": balance}
+    return LinearProgram(
+        c=c,
+        a_rows=np.concatenate([np.repeat(dyn.ravel(), 4)[terms.ravel()], np.repeat(balance, bal_cols.shape[1])]),
+        a_cols=np.concatenate([dyn_cols, bal_cols.ravel()]),
+        a_vals=np.concatenate([dyn_vals, np.tile(bal_vals, T)]),
+        row_lo=row_lo,
+        row_up=row_lo.copy(),
+        col_lo=col_lo,
+        col_up=col_up,
+        meta=meta,
+        tiebreak=tiebreak,
+    )
 
 
 def build_stochastic(instance: ProblemInstance, scenarios: ScenarioSet) -> LinearProgram:
@@ -178,11 +192,6 @@ def build_stochastic(instance: ProblemInstance, scenarios: ScenarioSet) -> Linea
         grid_shift=district.mean(axis=0) - load_min,
     )
     return lp
-
-
-def _index_grid(index: dict, D: int, T: int) -> np.ndarray:
-    """The (D, T) array of the column or row indices ``index[d, t]``."""
-    return np.array([[index[d, t] for t in range(T)] for d in range(D)], dtype=np.int64).reshape(D, T)
 
 
 def _meta(instance: ProblemInstance, T: int, n_scenarios: int) -> dict:
@@ -276,12 +285,9 @@ def extract_plan(solution: LPSolution, lp: LinearProgram) -> DispatchPlan:
     net = raw_chg - raw_dis
     p_charge = np.maximum(net, 0.0)
     p_discharge = np.maximum(-net, 0.0)
-    soc = np.zeros_like(p_charge)
-    for si, e0 in enumerate(meta["e_initial"]):
-        level = e0
-        for t in range(T):
-            level = level + dt * (p_charge[si, t] - p_discharge[si, t])
-            soc[si, t] = level
+    # a left fold from the initial SOC, step by step, as the dynamics rows read
+    start = np.array(meta["e_initial"], dtype=np.float64)[:, None]
+    soc = np.add.accumulate(np.concatenate([start, dt * (p_charge - p_discharge)], axis=1), axis=1)[:, 1:]
 
     return DispatchPlan(
         p_grid=np.maximum(p_grid, 0.0),

@@ -1,14 +1,15 @@
 """Linear program container and MPS text export.
 
-A LinearProgram stores the objective, a sparse triplet constraint matrix,
-two-sided row and column bounds, and a name table mapping every column to
-(quantity, device, timestamp) so solutions can be mapped back to dispatch
-series.  An optional secondary cost, ``tiebreak``, picks one point among the
-optima of ``c``: the solver minimizes it over the optimal face without
-moving ``c . x``.  A Basis states a simplex basis in the program's own
-layout: the status of every column and of every row's logical.  The MPS
-writer produces a fixed-layout file any external LP solver can read, for
-hand cross-checks.
+A LinearProgram stores the objective, a sparse triplet constraint matrix
+and two-sided row and column bounds.  A dispatch program's ``meta`` maps
+each (quantity, device, step) to its column and row indices, so solutions
+can be mapped back to dispatch series.  An optional secondary cost,
+``tiebreak``, picks one point among the optima of ``c``: the solver
+minimizes it over the optimal face without moving ``c . x``.  A Basis
+states a simplex basis in the program's own layout: the status of every
+column and of every row's logical.  The MPS writer produces a fixed-layout
+file any external LP solver can read, for hand cross-checks, labelling a
+dispatch program's columns from its layout.
 """
 
 from __future__ import annotations
@@ -24,19 +25,6 @@ INF = float("inf")
 AT_LO, AT_UP, FREE, BASIC = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class ColumnName:
-    quantity: str  # grid | gen | charge | discharge | soc
-    device: str
-    timestamp: int
-
-    def label(self) -> str:
-        base = f"{self.quantity}"
-        if self.device:
-            base += f".{self.device}"
-        return base + f".t{self.timestamp}"
-
-
 @dataclass
 class LinearProgram:
     c: np.ndarray
@@ -47,7 +35,6 @@ class LinearProgram:
     row_up: np.ndarray
     col_lo: np.ndarray
     col_up: np.ndarray
-    col_names: list[ColumnName]
     meta: dict = field(default_factory=dict)
     tiebreak: np.ndarray | None = None  # secondary cost over the optima of c; not written to MPS
 
@@ -61,8 +48,8 @@ class LinearProgram:
 
     def validate(self) -> None:
         n, m = self.n_cols, self.n_rows
-        if not (len(self.col_names) == n == self.col_lo.shape[0] == self.col_up.shape[0]):
-            raise ValueError("column arrays and name table sizes disagree")
+        if not (n == self.col_lo.shape[0] == self.col_up.shape[0]):
+            raise ValueError("column arrays disagree")
         if self.tiebreak is not None and self.tiebreak.shape != (n,):
             raise ValueError("tie-break cost and column count disagree")
         if self.row_up.shape[0] != m:
@@ -75,62 +62,11 @@ class LinearProgram:
             raise ValueError("triplet column index out of range")
         if np.any(self.row_lo > self.row_up) or np.any(self.col_lo > self.col_up):
             raise ValueError("lower bound exceeds upper bound")
-        if len(set(self.col_names)) != n:
-            raise ValueError("column names must be unique")
 
     def dense(self) -> np.ndarray:
         A = np.zeros((self.n_rows, self.n_cols))
         np.add.at(A, (self.a_rows, self.a_cols), self.a_vals)
         return A
-
-
-class LPBuilder:
-    """Incremental triplet assembly used by the model builders."""
-
-    def __init__(self):
-        self.c: list[float] = []
-        self.col_lo: list[float] = []
-        self.col_up: list[float] = []
-        self.col_names: list[ColumnName] = []
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.row_lo: list[float] = []
-        self.row_up: list[float] = []
-
-    def add_col(self, name: ColumnName, lo: float, up: float, cost: float = 0.0) -> int:
-        self.col_names.append(name)
-        self.col_lo.append(lo)
-        self.col_up.append(up)
-        self.c.append(cost)
-        return len(self.c) - 1
-
-    def add_row(self, entries: list[tuple[int, float]], lo: float, up: float) -> int:
-        r = len(self.row_lo)
-        for j, v in entries:
-            self.rows.append(r)
-            self.cols.append(j)
-            self.vals.append(v)
-        self.row_lo.append(lo)
-        self.row_up.append(up)
-        return r
-
-    def build(self, meta: dict | None = None, tiebreak: np.ndarray | None = None) -> LinearProgram:
-        lp = LinearProgram(
-            c=np.asarray(self.c, dtype=np.float64),
-            a_rows=np.asarray(self.rows, dtype=np.int64),
-            a_cols=np.asarray(self.cols, dtype=np.int64),
-            a_vals=np.asarray(self.vals, dtype=np.float64),
-            row_lo=np.asarray(self.row_lo, dtype=np.float64),
-            row_up=np.asarray(self.row_up, dtype=np.float64),
-            col_lo=np.asarray(self.col_lo, dtype=np.float64),
-            col_up=np.asarray(self.col_up, dtype=np.float64),
-            col_names=list(self.col_names),
-            meta=dict(meta or {}),
-            tiebreak=tiebreak,
-        )
-        lp.validate()
-        return lp
 
 
 def invert_basis(B: np.ndarray) -> np.ndarray | None:
@@ -170,10 +106,31 @@ class LPSolution:
     warm_start: str | None = None
 
 
+# the devices along the first axis of each per-device quantity of a layout
+_QUANTITY_DEVICES = {"gen": "generators", "charge": "storages", "discharge": "storages", "soc": "storages"}
+
+
+def _column_labels(lp: LinearProgram, short: list[str]) -> list[str]:
+    """``quantity[.device].t<step>`` for every column of a program with a
+    dispatch layout (``meta["columns"]`` and the device ids); the short
+    names for any other program."""
+    layout = lp.meta.get("columns")
+    if layout is None:
+        return short
+    labels = list(short)
+    for q, index in layout.items():
+        devices = lp.meta[_QUANTITY_DEVICES[q]] if q in _QUANTITY_DEVICES else [""]
+        for device, steps in zip(devices, np.atleast_2d(index).tolist()):
+            prefix = f"{q}.{device}" if device else q
+            for t, j in enumerate(steps):
+                labels[j] = f"{prefix}.t{t}"
+    return labels
+
+
 def write_mps(lp: LinearProgram, path: str, name: str = "VPPLP") -> None:
     """Write the program in MPS layout (rows as L/G/E plus RANGES for
     two-sided rows).  Short generated names are used in the data sections;
-    the real column labels are listed in leading comment lines."""
+    the column labels are listed in leading comment lines."""
     m, n = lp.n_rows, lp.n_cols
     rname = [f"R{i:07d}" for i in range(m)]
     cname = [f"C{j:07d}" for j in range(n)]
@@ -183,8 +140,8 @@ def write_mps(lp: LinearProgram, path: str, name: str = "VPPLP") -> None:
         entries[int(c_)].append((int(r), float(v)))
 
     lines = [f"* column map ({n} columns)"]
-    for j, nm in enumerate(lp.col_names):
-        lines.append(f"* {cname[j]} = {nm.label()}")
+    for j, label in enumerate(_column_labels(lp, cname)):
+        lines.append(f"* {cname[j]} = {label}")
     lines.append(f"NAME          {name}")
     lines.append("ROWS")
     lines.append(" N  COST")

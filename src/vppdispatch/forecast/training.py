@@ -24,6 +24,7 @@ import numpy as np
 from ..domain import TimeGrid
 from .features import (
     build_features,
+    calendar_encoding,
     recurrent_sequence,
     window_dataset_linear,
     window_dataset_recurrent,
@@ -226,14 +227,23 @@ def predict(model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t: in
     spec = model.spec
     history = np.asarray(history, dtype=np.float64)
     if spec.kind == "linear":
-        work = history[:t].copy()
+        # The features of step t+h are the calendar of t+h and the K values
+        # before it, the later ones this forecast's own predictions.  The
+        # calendar block is encoded and normalized once; per step only the
+        # lags are, and the dot product runs on the same 6+K operands as
+        # over the whole normalized feature vector.
+        K, norm = spec.lag_K, model.norm
         out = np.empty(horizon_T)
+        lags = np.empty(K + horizon_T)
+        lags[:K] = build_features(history, calendar, t, K)[6:]  # raises on a short history
+        steps = calendar_encoding(calendar, t + np.arange(horizon_T)).T
+        row = np.empty((horizon_T, 6 + K))
+        row[:, :6] = (steps - norm.feat_mean[:6]) / norm.feat_scale[:6]
+        lag_mean, lag_scale = norm.feat_mean[6:], norm.feat_scale[6:]
         for h in range(horizon_T):
-            fv = build_features(work, calendar, t + h, spec.lag_K)
-            yn = model.linear.predict(model.norm.norm_x(fv))
-            value = float(model.norm.denorm_y(np.array(yn)))
-            out[h] = value
-            work = np.append(work, value)  # recursive: feed the prediction back
+            np.divide(lags[h : h + K] - lag_mean, lag_scale, out=row[h, 6:])
+            value = model.linear.predict(row[h]) * norm.target_scale + norm.target_mean
+            out[h] = lags[K + h] = value  # recursive: feed the prediction back
     else:
         if horizon_T > spec.horizon:
             raise ValueError(f"model horizon {spec.horizon} cannot cover {horizon_T} steps")

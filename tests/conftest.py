@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from vppdispatch.domain import (
+# one BLAS thread, set before numpy loads: on a shared 2-core machine the
+# default thread count makes the simplex's small products contend for the
+# cores (a warm 48-step re-plan took 0.18 s instead of 0.008 s)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from vppdispatch.domain import (  # noqa: E402
     BuildingSeries,
     GenerationDevice,
     MarketSeries,

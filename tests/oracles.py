@@ -12,7 +12,11 @@ match both bit for bit.  The simplex pivot loop is the one that rebuilds the
 nonbasic values, the eligibility masks, the full ratio test and the full
 rank-1 inverse update at every pivot, with its own copy of the pricing rule;
 the package's loop carries them across pivots and must take the same pivots
-to the same bits.
+to the same bits.  The dispatch program is also built the loop way, one
+named column and one row at a time, with the SOC of each extracted plan
+rebuilt one step at a time and the linear forecast rebuilding its feature
+vector at every horizon step; the package's array versions must match them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +25,153 @@ import itertools
 
 import numpy as np
 
-from vppdispatch.dispatch import ColumnName, LinearProgram, LPBuilder
+from vppdispatch.dispatch import LinearProgram
 from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH, _STALL
 from vppdispatch.forecast import InsufficientHistoryError, build_features
+
+
+class ProgramBuilder:
+    """Triplet assembly one labelled column and one row at a time; the
+    labels land in ``meta["labels"]``."""
+
+    def __init__(self):
+        self.c, self.col_lo, self.col_up, self.labels = [], [], [], []
+        self.rows, self.cols, self.vals = [], [], []
+        self.row_lo, self.row_up = [], []
+
+    def add_col(self, label: str, lo: float, up: float, cost: float = 0.0) -> int:
+        self.labels.append(label)
+        self.col_lo.append(lo)
+        self.col_up.append(up)
+        self.c.append(cost)
+        return len(self.c) - 1
+
+    def add_row(self, entries: list[tuple[int, float]], lo: float, up: float) -> int:
+        r = len(self.row_lo)
+        for j, v in entries:
+            self.rows.append(r)
+            self.cols.append(j)
+            self.vals.append(v)
+        self.row_lo.append(lo)
+        self.row_up.append(up)
+        return r
+
+    def build(self, meta: dict | None = None, tiebreak: np.ndarray | None = None) -> LinearProgram:
+        return LinearProgram(
+            c=np.asarray(self.c, dtype=np.float64),
+            a_rows=np.asarray(self.rows, dtype=np.int64),
+            a_cols=np.asarray(self.cols, dtype=np.int64),
+            a_vals=np.asarray(self.vals, dtype=np.float64),
+            row_lo=np.asarray(self.row_lo, dtype=np.float64),
+            row_up=np.asarray(self.row_up, dtype=np.float64),
+            col_lo=np.asarray(self.col_lo, dtype=np.float64),
+            col_up=np.asarray(self.col_up, dtype=np.float64),
+            meta={**(meta or {}), "labels": list(self.labels)},
+            tiebreak=tiebreak,
+        )
+
+
+def _label(quantity: str, device: str, t: int) -> str:
+    return f"{quantity}.{device}.t{t}" if device else f"{quantity}.t{t}"
+
+
+def loop_build_deterministic(instance, forecasts) -> LinearProgram:
+    """The deterministic dispatch program appended column by column and row
+    by row: the grid draw per step; each generator's output per step; per
+    storage its charge, discharge and SOC per step, then its dynamics rows;
+    one balance row per step.  ``meta`` holds the package's entries plus the
+    column labels."""
+    T = instance.n_steps
+    dt = instance.grid.step_hours
+    G, S = len(instance.generators), len(instance.storages)
+    b = ProgramBuilder()
+    grid = [b.add_col(_label("grid", "", t), 0.0, np.inf, float(forecasts.price[t])) for t in range(T)]
+    gen, chg, dis, soc, dyn = {}, {}, {}, {}, {}
+    for gi, g in enumerate(instance.generators):
+        for t in range(T):
+            up = min(g.p_max_capacity, float(forecasts.solar[gi, t]))
+            gen[gi, t] = b.add_col(_label("gen", g.id, t), float(g.p_min[t]), up)
+    for si, s in enumerate(instance.storages):
+        for t in range(T):
+            chg[si, t] = b.add_col(_label("charge", s.id, t), 0.0, s.p_charge_max)
+            dis[si, t] = b.add_col(_label("discharge", s.id, t), 0.0, s.p_discharge_max)
+            soc[si, t] = b.add_col(_label("soc", s.id, t), s.e_min, s.e_max)
+        for t in range(T):
+            entries = [(soc[si, t], 1.0), (chg[si, t], -dt), (dis[si, t], dt)]
+            if t == 0:
+                dyn[si, t] = b.add_row(entries, s.e_initial, s.e_initial)
+            else:
+                entries.append((soc[si, t - 1], -1.0))
+                dyn[si, t] = b.add_row(entries, 0.0, 0.0)
+    district_load = forecasts.load.sum(axis=0)
+    balance = []
+    for t in range(T):
+        entries = [(grid[t], 1.0)] + [(gen[gi, t], 1.0) for gi in range(G)]
+        entries += [(dis[si, t], 1.0) for si in range(S)] + [(chg[si, t], -1.0) for si in range(S)]
+        balance.append(b.add_row(entries, float(district_load[t]), float(district_load[t])))
+
+    def grid_of(index, D):
+        return np.array([[index[d, t] for t in range(T)] for d in range(D)], dtype=np.int64).reshape(D, T)
+
+    columns = {
+        "grid": np.asarray(grid, dtype=np.int64),
+        "gen": grid_of(gen, G),
+        "charge": grid_of(chg, S),
+        "discharge": grid_of(dis, S),
+        "soc": grid_of(soc, S),
+    }
+    rng = np.random.default_rng(0)
+    u = rng.uniform(size=(2, S, T))
+    v = rng.uniform(size=(G, T))
+    tiebreak = np.zeros(len(b.c))
+    tiebreak[columns["charge"]] = 1.0 + u[0]
+    tiebreak[columns["discharge"]] = 1.0 + u[1]
+    tiebreak[columns["gen"]] = 1.0 + v
+    meta = {
+        "T": T,
+        "dt": dt,
+        "generators": [g.id for g in instance.generators],
+        "storages": [s.id for s in instance.storages],
+        "e_initial": [s.e_initial for s in instance.storages],
+        "n_scenarios": 0,
+        "objective_offset": 0.0,
+        "grid_shift": np.zeros(T),
+        "columns": columns,
+        "rows": {"dynamics": grid_of(dyn, S), "balance": np.asarray(balance, dtype=np.int64)},
+    }
+    return b.build(meta=meta, tiebreak=tiebreak)
+
+
+def loop_soc(e_initial, p_charge: np.ndarray, p_discharge: np.ndarray, dt: float) -> np.ndarray:
+    """The SOC trajectory of netted flows, one storage and one step at a time."""
+    soc = np.zeros_like(p_charge)
+    for si, e0 in enumerate(e_initial):
+        level = e0
+        for t in range(p_charge.shape[1]):
+            level = level + dt * (p_charge[si, t] - p_discharge[si, t])
+            soc[si, t] = level
+    return soc
+
+
+def recursive_predict_linear(model, history, calendar, t: int, horizon_T: int) -> np.ndarray:
+    """The linear model's forecast for steps [t, t+horizon_T), building and
+    normalizing the whole feature vector at every step and feeding each
+    prediction back into the history; the correction and the floor follow
+    as in ``predict``."""
+    spec = model.spec
+    work = np.asarray(history, dtype=np.float64)[:t].copy()
+    out = np.empty(horizon_T)
+    for h in range(horizon_T):
+        fv = build_features(work, calendar, t + h, spec.lag_K)
+        yn = model.linear.predict(model.norm.norm_x(fv))
+        value = float(model.norm.denorm_y(np.array(yn)))
+        out[h] = value
+        work = np.append(work, value)
+    a, b = model.correction
+    out = a * out + b
+    if spec.target in ("solar_capacity", "load"):
+        out = np.maximum(out, 0.0)
+    return out
 
 
 def finite_difference_grads(net, sequences, targets, step: float = 1e-5) -> dict:
@@ -243,7 +391,9 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
     capped below its capacity in every scenario; scenario n's draw is
     priced at ``p_n,t / N``.  The shared columns carry the package's
     tie-break costs: ``1 + u`` on charge and discharge and ``1 + v`` on
-    generation, drawn in that order from ``default_rng(0)``.
+    generation, drawn in that order from ``default_rng(0)``.  ``meta`` holds
+    the grid columns as an (N, T) array, the shared columns as (device, T)
+    arrays under ``columns``, and the labels.
     """
     N, T = scenarios.n_scenarios, instance.n_steps
     dt = instance.grid.step_hours
@@ -251,23 +401,23 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
     u = rng.uniform(size=(2, len(instance.storages), T))
     v = rng.uniform(size=(len(instance.generators), T))
     weight = {}
-    b = LPBuilder()
-    grid = [[b.add_col(ColumnName("grid", f"scenario{n}", t), 0.0, np.inf, float(scenarios.price[n, t] / N))
+    b = ProgramBuilder()
+    grid = [[b.add_col(_label("grid", f"scenario{n}", t), 0.0, np.inf, float(scenarios.price[n, t] / N))
              for t in range(T)] for n in range(N)]
     gen = []
     for gi, g in enumerate(instance.generators):
         caps = [min(float(scenarios.solar[n, gi, t]) for n in range(N)) for t in range(T)]
-        gen.append([b.add_col(ColumnName("gen", g.id, t), float(g.p_min[t]), min(g.p_max_capacity, caps[t]))
+        gen.append([b.add_col(_label("gen", g.id, t), float(g.p_min[t]), min(g.p_max_capacity, caps[t]))
                     for t in range(T)])
         for t in range(T):
             weight[gen[gi][t]] = 1.0 + v[gi, t]
-    chg, dis = [], []
+    chg, dis, soc = [], [], []
     for si, s in enumerate(instance.storages):
         c_s, d_s, e_s = [], [], []
         for t in range(T):
-            c_s.append(b.add_col(ColumnName("charge", s.id, t), 0.0, s.p_charge_max))
-            d_s.append(b.add_col(ColumnName("discharge", s.id, t), 0.0, s.p_discharge_max))
-            e_s.append(b.add_col(ColumnName("soc", s.id, t), s.e_min, s.e_max))
+            c_s.append(b.add_col(_label("charge", s.id, t), 0.0, s.p_charge_max))
+            d_s.append(b.add_col(_label("discharge", s.id, t), 0.0, s.p_discharge_max))
+            e_s.append(b.add_col(_label("soc", s.id, t), s.e_min, s.e_max))
             weight[c_s[t]] = 1.0 + u[0, si, t]
             weight[d_s[t]] = 1.0 + u[1, si, t]
         for t in range(T):
@@ -278,6 +428,7 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
             b.add_row(entries, rhs, rhs)
         chg.append(c_s)
         dis.append(d_s)
+        soc.append(e_s)
     for n in range(N):
         for t in range(T):
             load = float(sum(scenarios.load[n, u, t] for u in range(scenarios.load.shape[1])))
@@ -285,7 +436,9 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
             entries += [(d[t], 1.0) for d in dis] + [(c[t], -1.0) for c in chg]
             b.add_row(entries, load, load)
     tiebreak = np.array([weight.get(j, 0.0) for j in range(len(b.c))])
-    return b.build(meta={"grid": np.asarray(grid)}, tiebreak=tiebreak)
+    shared = {"gen": gen, "charge": chg, "discharge": dis, "soc": soc}
+    columns = {q: np.array(index, dtype=np.int64).reshape(len(index), T) for q, index in shared.items()}
+    return b.build(meta={"grid": np.asarray(grid), "columns": columns}, tiebreak=tiebreak)
 
 
 def reduce_program(lp: LinearProgram, tol: float = 1e-9):
@@ -355,7 +508,6 @@ def reduce_program(lp: LinearProgram, tol: float = 1e-9):
         row_up=np.array([row_up[r] for r in kept_rows]),
         col_lo=lp.col_lo[kept_cols],
         col_up=lp.col_up[kept_cols],
-        col_names=[lp.col_names[j] for j in kept_cols],
         tiebreak=None if tiebreak is None else np.array([tiebreak[j] for j in kept_cols]),
     )
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,14 @@ from vppdispatch.dispatch import (
     extract_plan,
     shift_basis,
     solve_lp,
+    write_mps,
 )
 from vppdispatch.dispatch import build as build_module
 from vppdispatch.dispatch.lp import BASIC, LPSolution
 from vppdispatch.scenario import Forecasts, ScenarioSet, Uncertainty, sample_scenarios
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
 
-from oracles import arbitrage_grid_search, expand_stochastic, reduce_program
+from oracles import arbitrage_grid_search, expand_stochastic, loop_build_deterministic, loop_soc, reduce_program
 
 
 def _instance(loads, solar=None, price=None, storage=None, gen_cap=100.0):
@@ -118,6 +121,84 @@ class TestDeterministicBuild:
         bad = Forecasts(solar=np.zeros((0, 3)), load=np.ones((1, 3)), price=np.ones(3))
         with pytest.raises(ValueError, match="length"):
             build_deterministic(inst, bad)
+
+
+def _assert_same_bits(new, old, where):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.dtype == old.dtype and new.shape == old.shape, where
+    assert np.array_equal(new.view(np.int64), old.view(np.int64)), where
+
+
+def assert_same_program(new, old):
+    """Every array of ``new`` equals the loop-built ``old``'s bit for bit,
+    and so does every ``meta`` entry but the loop builder's labels."""
+    for part in ("c", "a_rows", "a_cols", "a_vals", "row_lo", "row_up", "col_lo", "col_up", "tiebreak"):
+        _assert_same_bits(getattr(new, part), getattr(old, part), part)
+    assert set(new.meta) == set(old.meta) - {"labels"}
+    for key, value in new.meta.items():
+        if isinstance(value, dict):
+            assert list(value) == list(old.meta[key]), key
+            for name, index in value.items():
+                _assert_same_bits(index, old.meta[key][name], (key, name))
+        elif isinstance(value, np.ndarray):
+            _assert_same_bits(value, old.meta[key], key)
+        else:
+            assert value == old.meta[key] and type(value) is type(old.meta[key]), key
+
+
+class TestArrayBuildAgainstLoop:
+    """The array builder against the loop builder of ``tests/oracles.py``,
+    bit for bit, over horizons and device counts."""
+
+    @staticmethod
+    def _window(instance, T, S, G):
+        """T steps from step 15 (or the last T) with the first S storages and
+        G generators; the solar forecast, one row per building, is doubled
+        so it crosses the generator caps."""
+        window = instance.slice(min(15, instance.n_steps - T), T)
+        window = ProblemInstance(
+            grid=window.grid,
+            buildings=window.buildings,
+            generators=tuple(
+                GenerationDevice(g.id, np.linspace(0.0, 0.3, T), g.p_max_capacity) for g in window.generators[:G]
+            ),
+            storages=window.storages[:S],
+            market=window.market,
+        )
+        forecasts = Forecasts(
+            solar=2.0 * np.stack([b.solar_capacity for b in window.buildings]),
+            load=np.stack([b.load for b in window.buildings]),
+            price=window.market.price,
+        )
+        return window, forecasts
+
+    @pytest.mark.parametrize("T", [1, 2, 24, 48])
+    def test_deterministic(self, two_building_instance, T):
+        for S in (0, 1, 2):
+            for G in (0, 1, 2):
+                window, forecasts = self._window(two_building_instance, T, S, G)
+                assert_same_program(build_deterministic(window, forecasts), loop_build_deterministic(window, forecasts))
+
+    @pytest.mark.parametrize("N", [1, 50])
+    def test_stochastic(self, two_building_instance, monkeypatch, N):
+        for T in (1, 24):
+            for S, G in ((0, 2), (2, 0), (2, 2)):
+                window, forecasts = self._window(two_building_instance, T, S, G)
+                unc = Uncertainty(solar=np.full(T, 0.2), load=np.full(T, 0.15), price=np.full(T, 0.02))
+                scenarios = sample_scenarios(forecasts, unc, N=N, seed=T + N)
+                new = build_stochastic(window, scenarios)
+                with monkeypatch.context() as m:
+                    m.setattr(build_module, "build_deterministic", loop_build_deterministic)
+                    old = build_stochastic(window, scenarios)
+                assert_same_program(new, old)
+
+    def test_mps_text_is_unchanged(self, two_building_instance, tmp_path):
+        """The text the loop builder's named columns gave, kept in
+        ``tests/data``."""
+        window = two_building_instance.slice(15, 3)
+        path = tmp_path / "program.mps"
+        write_mps(build_deterministic(window, _forecasts(window)), str(path))
+        assert path.read_bytes() == (Path(__file__).parent / "data" / "dispatch_T3.mps").read_bytes()
 
 
 class TestStochasticBuild:
@@ -222,10 +303,9 @@ class TestCollapseAgainstExpansion:
                 x_exp = recover(ref.x)
 
                 # the expansion's solution in the collapse's column layout
-                position = {nm: j for j, nm in enumerate(expansion.col_names)}
-                shared = [j for j, nm in enumerate(collapse.col_names) if nm.quantity != "grid"]
                 x_map = np.zeros(collapse.n_cols)
-                x_map[shared] = x_exp[[position[collapse.col_names[j]] for j in shared]]
+                for q, index in expansion.meta["columns"].items():
+                    x_map[collapse.meta["columns"][q]] = x_exp[index]
                 plan = extract_plan(sol, collapse)
                 ref_plan = extract_plan(LPSolution("optimal", x_map, np.nan, 0), collapse)
                 for field in ("p_charge", "p_discharge", "soc", "p_gen"):
@@ -278,6 +358,25 @@ class TestExtractPlan:
         assert plan.p_charge[0, 0] == pytest.approx(s.x[cols["charge"][0, 0]])
         assert plan.p_discharge[0, 1] == pytest.approx(s.x[cols["discharge"][0, 1]])
 
+    def test_soc_is_the_loop_recursion(self, two_building_instance):
+        """Random netted flows at a quarter-hour step: the SOC equals the
+        one-step-at-a-time recursion bit for bit."""
+        window = two_building_instance.slice(0, 48)
+        window = ProblemInstance(
+            grid=TimeGrid(0, 48, 0.25), buildings=window.buildings, generators=window.generators,
+            storages=window.storages, market=window.market,
+        )
+        lp = build_deterministic(window, _forecasts(window))
+        cols = lp.meta["columns"]
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            x = np.zeros(lp.n_cols)
+            x[cols["charge"]] = rng.uniform(0.0, 1.5, cols["charge"].shape)
+            x[cols["discharge"]] = rng.uniform(0.0, 1.5, cols["discharge"].shape)
+            plan = extract_plan(LPSolution("optimal", x, np.nan, 0), lp)
+            expected = loop_soc(lp.meta["e_initial"], plan.p_charge, plan.p_discharge, 0.25)
+            _assert_same_bits(plan.soc, expected, "soc")
+
     def test_non_optimal_solution_rejected(self):
         inst = _instance([1.0])
         lp = build_deterministic(inst, _forecasts(inst))
@@ -314,11 +413,16 @@ class TestShiftBasis:
         rows = np.concatenate([lp.meta["rows"][q].ravel() for q in build_module.ROW_KINDS])
         assert np.array_equal(np.sort(cols), np.arange(lp.n_cols))
         assert np.array_equal(np.sort(rows), np.arange(lp.n_rows))
+        # the loop builder's label of every column the layout names
+        window = two_building_instance.slice(0, 24)
+        labels = loop_build_deterministic(window, _forecasts(window)).meta["labels"]
+        devices = {"grid": [""], "gen": lp.meta["generators"]}
         for q in build_module.COLUMN_QUANTITIES:
-            index = lp.meta["columns"][q]
-            steps = np.broadcast_to(np.arange(24), index.shape)
-            assert all(lp.col_names[j].quantity == q and lp.col_names[j].timestamp == t
-                       for j, t in zip(index.ravel(), steps.ravel())), q
+            index = np.atleast_2d(lp.meta["columns"][q])
+            for device, steps in zip(devices.get(q, lp.meta["storages"]), index):
+                assert [labels[j] for j in steps] == [
+                    f"{q}.{device}.t{t}" if device else f"{q}.t{t}" for t in range(24)
+                ], q
 
     def test_zero_shift_is_the_identity(self, two_building_instance):
         lp = self._program(two_building_instance, 0, 24)

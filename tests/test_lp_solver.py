@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from vppdispatch.dispatch import (
-    ColumnName, LPBuilder, build_deterministic, build_stochastic, extract_plan, shift_basis, solve_lp,
-    write_mps,
+    build_deterministic, build_stochastic, extract_plan, shift_basis, solve_lp, write_mps,
 )
 from vppdispatch.dispatch import simplex
 from vppdispatch.dispatch.lp import BASIC, Basis, LPSolution
@@ -14,14 +13,14 @@ from vppdispatch.dispatch.simplex import SolveOptions
 from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
 
-from oracles import enumerate_lp_minimum, rebuilding_iterate
+from oracles import ProgramBuilder, enumerate_lp_minimum, rebuilding_iterate
 
 
 def _build(c, A, row_lo, row_up, col_lo, col_up):
-    b = LPBuilder()
+    b = ProgramBuilder()
     n = len(c)
     for j in range(n):
-        b.add_col(ColumnName("x", "", j), col_lo[j], col_up[j], c[j])
+        b.add_col(f"x{j}", col_lo[j], col_up[j], c[j])
     for i in range(A.shape[0]):
         b.add_row([(j, A[i, j]) for j in range(n) if A[i, j] != 0.0], row_lo[i], row_up[i])
     return b.build()
@@ -58,16 +57,16 @@ def random_bounded_lp(rng):
 
 
 def infeasible_lp():
-    b = LPBuilder()
-    x = b.add_col(ColumnName("x", "", 0), 0.0, 1.0, 1.0)
+    b = ProgramBuilder()
+    x = b.add_col("x0", 0.0, 1.0, 1.0)
     b.add_row([(x, 1.0)], 2.0, 3.0)
     return b.build()
 
 
 def unbounded_lp():
-    b = LPBuilder()
-    x = b.add_col(ColumnName("x", "", 0), -np.inf, np.inf, 1.0)
-    y = b.add_col(ColumnName("y", "", 1), 0.0, np.inf, 0.0)
+    b = ProgramBuilder()
+    x = b.add_col("x0", -np.inf, np.inf, 1.0)
+    y = b.add_col("y1", 0.0, np.inf, 0.0)
     b.add_row([(x, 1.0), (y, 1.0)], -np.inf, 5.0)
     return b.build()
 
@@ -109,16 +108,16 @@ def basic_count(basis):
 
 class TestTinyPrograms:
     def test_single_variable_lower_bound(self):
-        b = LPBuilder()
-        b.add_col(ColumnName("x", "", 0), 3.0, np.inf, 1.0)
+        b = ProgramBuilder()
+        b.add_col("x0", 3.0, np.inf, 1.0)
         s = solve_lp(b.build())
         assert s.status == "optimal"
         assert s.objective == pytest.approx(3.0)
 
     def test_textbook_simplex_instance(self):
-        b = LPBuilder()
-        x = b.add_col(ColumnName("x", "", 0), 0.0, np.inf, -1.0)
-        y = b.add_col(ColumnName("y", "", 1), 0.0, np.inf, -1.0)
+        b = ProgramBuilder()
+        x = b.add_col("x0", 0.0, np.inf, -1.0)
+        y = b.add_col("y1", 0.0, np.inf, -1.0)
         b.add_row([(x, 1.0), (y, 1.0)], -np.inf, 1.0)
         s = solve_lp(b.build())
         assert s.status == "optimal"

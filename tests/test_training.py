@@ -7,6 +7,7 @@ from vppdispatch.domain import TimeGrid
 from vppdispatch.evaluate import wmape
 from vppdispatch.forecast import (
     DivergenceError,
+    InsufficientHistoryError,
     ModelSpec,
     Normalization,
     OnlineData,
@@ -23,6 +24,8 @@ from vppdispatch.forecast import (
 )
 from vppdispatch.forecast.models import CELL_PARAMS, RecurrentNet
 from vppdispatch.forecast.training import _gd_train
+
+from oracles import recursive_predict_linear
 
 
 GRID = TimeGrid(0, 24 * 30)
@@ -155,6 +158,48 @@ class TestPredict:
         full = predict(model, series, GRID, 24 * 10, 24)
         assert one.shape == (1,)
         assert one[0] == full[0]
+
+
+class TestLinearPredictAgainstRecursion:
+    """The linear forecast against the loop that rebuilds every feature
+    vector (``tests/oracles.py``), bit for bit."""
+
+    CALENDAR = TimeGrid(0, 24 * 40)
+
+    @pytest.fixture(scope="class", params=[("load", 24), ("price", 24), ("load", 5)], ids=lambda p: f"{p[0]}-K{p[1]}")
+    def setting(self, request):
+        target, K = request.param
+        rng = np.random.default_rng(K)
+        # swings through zero, so the load floor acts
+        series = _sinusoid(24 * 40, amp=3.0, base=0.2) + 0.3 * rng.standard_normal(24 * 40)
+        spec = _linear_spec(target=target, K=K)
+        model = train(spec, make_dataset(spec, series, self.CALENDAR, 0, 24 * 20), TrainConfig(seed=0))
+        return model, series
+
+    @pytest.mark.parametrize("correction", [(1.0, 0.0), (1.3, -0.7)])
+    @pytest.mark.parametrize("horizon_T", [1, 24])
+    def test_same_bits(self, setting, correction, horizon_T):
+        model, series = setting
+        model = replace(model, correction=correction)
+        K = model.spec.lag_K
+        # the first step with K lags, steps whose horizon crosses a month
+        # boundary (step 720), and the end of the history
+        for t in (K, 700, 715, 719, 720, len(series)):
+            got = predict(model, series, self.CALENDAR, t, horizon_T)
+            want = recursive_predict_linear(model, series, self.CALENDAR, t, horizon_T)
+            assert got.shape == want.shape == (horizon_T,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), t
+        if model.spec.target == "load" and correction != (1.0, 0.0):
+            assert np.any(predict(model, series, self.CALENDAR, 700, 24) == 0.0)  # the floor acted
+
+    def test_short_history_raises_as_the_loop(self, setting):
+        model, series = setting
+        K = model.spec.lag_K
+        for t, history in ((K - 1, series), (len(series) + 1, series), (30, series[:20])):
+            with pytest.raises(InsufficientHistoryError):
+                recursive_predict_linear(model, history, self.CALENDAR, t, 24)
+            with pytest.raises(InsufficientHistoryError):
+                predict(model, history, self.CALENDAR, t, 24)
 
 
 class TestEstimateVariance:
