@@ -127,6 +127,7 @@ class EpisodeResult:
     finetune_divergences: int = 0  # updates that diverged and kept the old model
     warm_starts: int = 0  # re-plans solved from the previous plan's shifted basis
     cold_starts: int = 0  # re-plans solved from the solver's cold start
+    sigma_skips: int = 0  # series left out of a sigma estimate for want of two windows
 
 
 @dataclass
@@ -153,6 +154,7 @@ class OracleProvider:
     """Perfect foresight: forecasts are the realized series, sigma is zero."""
 
     divergences = 0
+    sigma_skips = 0
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
@@ -216,6 +218,7 @@ class ModelProvider:
         self.last_finetune = -(10**9)
         self.n_finetunes = 0
         self.divergences = 0
+        self.sigma_skips = 0
 
     # -- training ------------------------------------------------------
 
@@ -250,6 +253,7 @@ class ModelProvider:
                     est = estimate_variance(model, series, self.grid, t_start, t_end, series_windows)
                 except ValueError as exc:
                     # a series with fewer than two windows enters neither figure
+                    self.sigma_skips += 1
                     logger.debug(
                         "sigma of %s skips a series: %d validation windows in [%d, %d) (%s)",
                         key, len(series_windows), t_start, t_end, exc,
@@ -584,6 +588,7 @@ def _finalize(
         seconds_per_day=loop_seconds / max(control_len, 1) * 24.0,
         models=provider.final_models(),
         finetune_divergences=provider.divergences,
+        sigma_skips=provider.sigma_skips,
     )
 
 

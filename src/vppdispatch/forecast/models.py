@@ -5,10 +5,12 @@ The recurrent cell uses the standard update/reset gating; the readout is a
 single affine map from the final hidden state to one value per horizon
 step.  Gradients are hand-derived backpropagation through time and are
 pinned against central finite differences in the tests, so any change here
-must keep them exact.  The gates' logistic function is branch-free and
-gives the same bits as the two-branch stable form; ``mse`` is the one
-definition of the training loss, shared by ``loss_and_grads`` and the
-per-epoch loss that training logs from a forward pass alone.
+must keep them exact.  The three gates run fused, one stacked product per
+step for all their inputs, with the same bits as a gate-at-a-time cell
+(see ``RecurrentNet.forward``).  The gates' logistic function is
+branch-free and gives the same bits as the two-branch stable form; ``mse``
+is the one definition of the training loss, shared by ``loss_and_grads``
+and the per-epoch loss that training logs from a forward pass alone.
 """
 
 from __future__ import annotations
@@ -21,16 +23,24 @@ PARAM_NAMES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc", "Wo", "bo")
 CELL_PARAMS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow and without boolean indexing.
 
     ``z = exp(-|x|)`` is ``exp(-x)`` for x >= 0 and ``exp(x)`` for x < 0, so
     this is ``1 / (1 + exp(-x))`` and ``exp(x) / (1 + exp(x))`` on the two
-    sides, the textbook stable form, bit for bit; one division over the
-    whole array is cheaper than masking on these small arrays.
+    sides, the textbook stable form, bit for bit.  The numerator is
+    ``max(z, x >= 0)``: 1 where x >= 0 (there z <= 1) and z elsewhere (there
+    z >= 0).  The maximum runs branch-free, where ``np.where`` over a
+    random sign pattern mispredicts a branch per element.  ``out`` may be
+    ``x`` itself, which saves the result's allocation.
     """
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    num = np.maximum(z, x >= 0, out=out)
+    z += 1.0
+    num /= z
+    return num
 
 
 def mse(prediction: np.ndarray, targets: np.ndarray) -> float:
@@ -104,6 +114,21 @@ class RecurrentNet:
         (B, output_horizon) and the final hidden state (B, hidden_dim).
         The hidden state starts at zero.  Pass a list as ``cache`` to
         record per-step activations for ``backward``.
+
+        The gates run fused, gate-major.  The weights are stacked once per
+        call, ``[Wz; Wr; Wc]`` (3, H, D) and ``[Uz; Ur]`` (2, H, H), each
+        used transposed.  A step makes one input product into a (3, B, H)
+        buffer, one recurrent product (2, B, H) for z and r, one in-place
+        ``_sigmoid`` over that block, and ``c`` from ``(r * h) @ Uc.T``.
+        A stacked ``matmul`` makes one BLAS call per gate on exactly the
+        operands of the per-gate ``x @ Wz.T``, so every product keeps its
+        bits; a (B, 3H) product would too, except in a one-unit cell, whose
+        per-gate products are matrix-vector ones that round differently.
+        Each pre-activation adds ``h U`` to ``x W`` (one commutative sum)
+        and then ``b``, which is ``(x W + h U) + b`` bit for bit, so the
+        activations are the per-gate loop's (pinned against
+        ``LoopRecurrentNet`` in the tests).  Each gate's block is
+        contiguous, so the elementwise work runs over whole arrays.
         """
         sequences = np.asarray(sequences, dtype=np.float64)
         if sequences.ndim != 3 or sequences.shape[2] != self.input_dim:
@@ -113,14 +138,27 @@ class RecurrentNet:
         if sequences.shape[1] == 0:
             raise ValueError("sequence must be nonempty")
         p = self.params
-        B = sequences.shape[0]
-        h = np.zeros((B, self.hidden_dim))
+        B, H = sequences.shape[0], self.hidden_dim
+        W = np.stack((p["Wz"], p["Wr"], p["Wc"])).transpose(0, 2, 1)
+        Uzr = np.stack((p["Uz"], p["Ur"])).transpose(0, 2, 1)
+        bzr = np.stack((p["bz"], p["br"]))[:, None, :]
+        Uc_T, bc = p["Uc"].T, p["bc"]
+        h = np.zeros((B, H))
+        xw = np.empty((3, B, H))
         for k in range(sequences.shape[1]):
             x = sequences[:, k, :]
-            z = _sigmoid(x @ p["Wz"].T + h @ p["Uz"].T + p["bz"])
-            r = _sigmoid(x @ p["Wr"].T + h @ p["Ur"].T + p["br"])
-            c = np.tanh(x @ p["Wc"].T + (r * h) @ p["Uc"].T + p["bc"])
-            h_new = (1.0 - z) * h + z * c
+            np.matmul(x, W, out=xw)
+            zr = np.matmul(h, Uzr)
+            zr += xw[:2]
+            zr += bzr
+            z, r = _sigmoid(zr, out=zr)
+            c = xw[2]
+            c += (r * h) @ Uc_T
+            c += bc
+            c = np.tanh(c)
+            h_new = 1.0 - z
+            h_new *= h
+            h_new += z * c
             if cache is not None:
                 cache.append((x, h, z, r, c))
             h = h_new
@@ -133,39 +171,56 @@ class RecurrentNet:
         ``cache`` comes from ``forward``; ``d_y`` is dLoss/d(readout) with
         shape (B, output_horizon).  Returns dLoss/d(param) for every
         parameter tensor.
+
+        A step writes the pre-activation gradients ``[dz_pre, dr_pre,
+        dc_pre]`` into one (3, B, H) buffer and accumulates, with one call
+        each, ``dW += dpre.T @ x`` over the three gates, ``dU_zr +=
+        dpre[:2].T @ h_prev`` over z and r, and ``db += dpre.sum`` over
+        the batch; ``dUc`` takes ``dc_pre.T @ (r * h_prev)``.  As forward,
+        the stacked products make one BLAS call per gate on the per-gate
+        operands.  Every elementwise factor is formed in the per-gate
+        loop's order, and the hidden state's recurrent terms ``dr_pre @ Ur``
+        and ``dz_pre @ Uz`` stay two products (from one stacked call) added
+        r first, so the gradients are that loop's bit for bit.
         """
         p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        grads["Wo"] = d_y.T @ h_final
-        grads["bo"] = d_y.sum(axis=0)
+        B, H = d_y.shape[0], self.hidden_dim
+        dW = np.zeros((3, H, self.input_dim))
+        dU_zr = np.zeros((2, H, H))
+        dUc = np.zeros((H, H))
+        db = np.zeros((3, H))
+        dpre = np.empty((3, B, H))
+        dz_pre, dr_pre, dc_pre = dpre
+        dpre_T = dpre.transpose(0, 2, 1)
+        U_zr = np.stack((p["Uz"], p["Ur"]))
+        Uc = p["Uc"]
         dh = d_y @ p["Wo"]
         for x, h_prev, z, r, c in reversed(cache):
             dz = dh * (c - h_prev)
             dc = dh * z
             dh_prev = dh * (1.0 - z)
 
-            dc_pre = dc * (1.0 - c * c)
-            grads["Wc"] += dc_pre.T @ x
-            grads["Uc"] += dc_pre.T @ (r * h_prev)
-            grads["bc"] += dc_pre.sum(axis=0)
-            drh = dc_pre @ p["Uc"]
+            np.multiply(dc, 1.0 - c * c, out=dc_pre)
+            drh = dc_pre @ Uc
             dr = drh * h_prev
-            dh_prev = dh_prev + drh * r
+            dh_prev += drh * r
+            np.multiply(dr * r, 1.0 - r, out=dr_pre)
+            np.multiply(dz * z, 1.0 - z, out=dz_pre)
 
-            dr_pre = dr * r * (1.0 - r)
-            grads["Wr"] += dr_pre.T @ x
-            grads["Ur"] += dr_pre.T @ h_prev
-            grads["br"] += dr_pre.sum(axis=0)
-            dh_prev = dh_prev + dr_pre @ p["Ur"]
-
-            dz_pre = dz * z * (1.0 - z)
-            grads["Wz"] += dz_pre.T @ x
-            grads["Uz"] += dz_pre.T @ h_prev
-            grads["bz"] += dz_pre.sum(axis=0)
-            dh_prev = dh_prev + dz_pre @ p["Uz"]
-
+            dW += np.matmul(dpre_T, x)
+            dU_zr += np.matmul(dpre_T[:2], h_prev)
+            dUc += dc_pre.T @ (r * h_prev)
+            db += dpre.sum(axis=1)
+            dh_z, dh_r = np.matmul(dpre[:2], U_zr)
+            dh_prev += dh_r
+            dh_prev += dh_z
             dh = dh_prev
-        return grads
+        return {
+            "Wz": dW[0], "Uz": dU_zr[0], "bz": db[0],
+            "Wr": dW[1], "Ur": dU_zr[1], "br": db[1],
+            "Wc": dW[2], "Uc": dUc, "bc": db[2],
+            "Wo": d_y.T @ h_final, "bo": d_y.sum(axis=0),
+        }
 
     def loss_and_grads(
         self, sequences: np.ndarray, targets: np.ndarray

@@ -250,10 +250,14 @@ def predict(model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t: in
         seq = recurrent_sequence(history, calendar, t, spec.lag_K)
         yn, _ = model.net.forward(model.norm.norm_x(seq)[None, :, :])
         out = np.asarray(model.norm.denorm_y(yn[0][:horizon_T]))
+    return _corrected(model, out)
 
+
+def _corrected(model: ForecastModel, out: np.ndarray) -> np.ndarray:
+    """Apply the model's affine correction, then floor solar and load at zero."""
     a, b = model.correction
     out = a * out + b
-    if spec.target in FLOORED_TARGETS:
+    if model.spec.target in FLOORED_TARGETS:
         out = np.maximum(out, 0.0)
     return out
 
@@ -272,13 +276,25 @@ def estimate_variance(
     are required for the spread to be defined.  If ``windows`` is given,
     each window's ``(actual, predicted)`` pair is appended to it, so callers
     can score the same forecasts without predicting again.
+
+    A recurrent model predicts all windows in one batched forward over
+    ``window_dataset_recurrent``'s sequences, which are the ones ``predict``
+    builds per window.  Its rows go through a matrix-matrix product where a
+    single window's forward goes through a matrix-vector one, so a
+    prediction can differ from ``predict``'s in its last bits.  A linear
+    model predicts window by window.
     """
-    H = model.spec.horizon
-    starts = range(max(t_start, model.spec.lag_K), t_end - H + 1)
+    spec = model.spec
+    H = spec.horizon
+    starts = range(max(t_start, spec.lag_K), t_end - H + 1)
+    if model.net is not None and len(starts) > 0:
+        X, actuals = window_dataset_recurrent(history, calendar, spec.lag_K, H, t_start, t_end)
+        yn, _ = model.net.forward(model.norm.norm_x(X))
+        pairs = zip(actuals, _corrected(model, model.norm.denorm_y(yn)))
+    else:
+        pairs = ((np.asarray(history[t : t + H]), predict(model, history, calendar, t, H)) for t in starts)
     residuals = []
-    for t in starts:
-        pred = predict(model, history, calendar, t, H)
-        actual = np.asarray(history[t : t + H])
+    for actual, pred in pairs:
         residuals.append(actual - pred)
         if windows is not None:
             windows.append((actual, pred))

@@ -16,7 +16,10 @@ to the same bits.  The dispatch program is also built the loop way, one
 named column and one row at a time, with the SOC of each extracted plan
 rebuilt one step at a time and the linear forecast rebuilding its feature
 vector at every horizon step; the package's array versions must match them
-bit for bit.
+bit for bit.  The recurrent cell runs one gate at a time, forward and
+backward, which the fused cell must match bit for bit, and sigma is estimated
+with one forecast per validation window, which the batched estimate must
+match to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 
 from vppdispatch.dispatch import LinearProgram
 from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH, _STALL
-from vppdispatch.forecast import InsufficientHistoryError, build_features
+from vppdispatch.forecast import InsufficientHistoryError, UncertaintyEstimate, build_features, predict
+from vppdispatch.forecast.models import RecurrentNet, _sigmoid
 
 
 class ProgramBuilder:
@@ -172,6 +176,95 @@ def recursive_predict_linear(model, history, calendar, t: int, horizon_T: int) -
     if spec.target in ("solar_capacity", "load"):
         out = np.maximum(out, 0.0)
     return out
+
+
+class LoopRecurrentNet(RecurrentNet):
+    """The recurrent cell one gate at a time: three input products, three
+    recurrent products and two ``_sigmoid`` calls per step forward, and nine
+    gradient products per step backward, each gate's gradients accumulated
+    in its own arrays."""
+
+    @classmethod
+    def of(cls, net: RecurrentNet) -> "LoopRecurrentNet":
+        dup = RecurrentNet.copy(net)
+        dup.__class__ = cls
+        return dup
+
+    def copy(self) -> "LoopRecurrentNet":
+        return LoopRecurrentNet.of(self)
+
+    def forward(self, sequences, cache=None):
+        sequences = np.asarray(sequences, dtype=np.float64)
+        if sequences.ndim != 3 or sequences.shape[2] != self.input_dim:
+            raise ValueError(
+                f"expected sequences of shape (B, K, {self.input_dim}), got {sequences.shape}"
+            )
+        if sequences.shape[1] == 0:
+            raise ValueError("sequence must be nonempty")
+        p = self.params
+        B = sequences.shape[0]
+        h = np.zeros((B, self.hidden_dim))
+        for k in range(sequences.shape[1]):
+            x = sequences[:, k, :]
+            z = _sigmoid(x @ p["Wz"].T + h @ p["Uz"].T + p["bz"])
+            r = _sigmoid(x @ p["Wr"].T + h @ p["Ur"].T + p["br"])
+            c = np.tanh(x @ p["Wc"].T + (r * h) @ p["Uc"].T + p["bc"])
+            h_new = (1.0 - z) * h + z * c
+            if cache is not None:
+                cache.append((x, h, z, r, c))
+            h = h_new
+        y = h @ p["Wo"].T + p["bo"]
+        return y, h
+
+    def backward(self, cache, d_y, h_final):
+        p = self.params
+        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        grads["Wo"] = d_y.T @ h_final
+        grads["bo"] = d_y.sum(axis=0)
+        dh = d_y @ p["Wo"]
+        for x, h_prev, z, r, c in reversed(cache):
+            dz = dh * (c - h_prev)
+            dc = dh * z
+            dh_prev = dh * (1.0 - z)
+
+            dc_pre = dc * (1.0 - c * c)
+            grads["Wc"] += dc_pre.T @ x
+            grads["Uc"] += dc_pre.T @ (r * h_prev)
+            grads["bc"] += dc_pre.sum(axis=0)
+            drh = dc_pre @ p["Uc"]
+            dr = drh * h_prev
+            dh_prev = dh_prev + drh * r
+
+            dr_pre = dr * r * (1.0 - r)
+            grads["Wr"] += dr_pre.T @ x
+            grads["Ur"] += dr_pre.T @ h_prev
+            grads["br"] += dr_pre.sum(axis=0)
+            dh_prev = dh_prev + dr_pre @ p["Ur"]
+
+            dz_pre = dz * z * (1.0 - z)
+            grads["Wz"] += dz_pre.T @ x
+            grads["Uz"] += dz_pre.T @ h_prev
+            grads["bz"] += dz_pre.sum(axis=0)
+            dh_prev = dh_prev + dz_pre @ p["Uz"]
+
+            dh = dh_prev
+        return grads
+
+
+def windowed_estimate_variance(model, history, calendar, t_start: int, t_end: int, windows=None):
+    """``estimate_variance`` with one ``predict`` call, and so one batch-1
+    forward, per validation window."""
+    H = model.spec.horizon
+    residuals = []
+    for t in range(max(t_start, model.spec.lag_K), t_end - H + 1):
+        pred = predict(model, history, calendar, t, H)
+        actual = np.asarray(history[t : t + H])
+        residuals.append(actual - pred)
+        if windows is not None:
+            windows.append((actual, pred))
+    if len(residuals) < 2:
+        raise ValueError(f"need at least 2 validation windows, got {len(residuals)}")
+    return UncertaintyEstimate(np.std(np.stack(residuals), axis=0))
 
 
 def finite_difference_grads(net, sequences, targets, step: float = 1e-5) -> dict:

@@ -265,6 +265,21 @@ class TestSigmaEstimation:
         for key in provider.specs:
             assert np.array_equal(provider.sigma[key].sigma, np.zeros(cfg.horizon_T))
             assert provider.val_wmape[key] == 0.0
+        assert provider.sigma_skips == len(provider.specs)
+
+    @pytest.mark.parametrize("forecaster", ["linear", "recurrent"])
+    def test_episode_counts_skipped_series(self, forecaster):
+        inst, _, cfg = _trained_setup()
+        split = Split(train_end=7 * 24, val_end=8 * 24)  # one 24-step validation window
+        cfg = replace(cfg, forecaster=forecaster, hidden_dim=4, train=TrainConfig(epochs=3, seed=0))
+        series = 3  # price, solar, load:0
+        ep = run_sofo(inst, split, replace(cfg, scheme=UpdateScheme("noft")))
+        assert ep.fine_tune_steps == [] and ep.sigma_skips == series
+        ep = run_sofo(inst, split, cfg)  # fine-tunes validate over 72 steps
+        assert len(ep.fine_tune_steps) > 0 and ep.sigma_skips == series
+        ep = run_sofo(inst, split, replace(cfg, val_window=24))  # and now over one window
+        assert ep.sigma_skips == series * (1 + len(ep.fine_tune_steps))
+        assert run_sofo(inst, Split(7 * 24, 9 * 24), cfg).sigma_skips == 0
 
 
 class TestEpisodeEngine:

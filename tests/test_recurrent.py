@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 
-from vppdispatch.forecast import RecurrentNet
+from vppdispatch.domain import TimeGrid
+from vppdispatch.forecast import (
+    ForecastModel,
+    ModelSpec,
+    Normalization,
+    OnlineData,
+    RecurrentNet,
+    TrainConfig,
+    UpdateScheme,
+    apply_update,
+    window_dataset_recurrent,
+)
 from vppdispatch.forecast.models import CELL_PARAMS, PARAM_NAMES, _sigmoid
+from vppdispatch.forecast.training import _gd_train
 
-from oracles import finite_difference_grads, masked_sigmoid
+from oracles import LoopRecurrentNet, finite_difference_grads, masked_sigmoid
 
 
 def test_zero_weights_output_equals_readout_bias():
@@ -83,3 +95,64 @@ def test_sigmoid_matches_masked_form_bitwise():
         ref = masked_sigmoid(arr)
         assert got.shape == arr.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _bits_equal(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("H", [1, 16])  # a one-unit cell's per-gate products are matrix-vector ones
+@pytest.mark.parametrize("K", [1, 24])
+@pytest.mark.parametrize("B", [1, 2, 64, 241])
+def test_fused_cell_matches_the_per_gate_loop_bitwise(B, K, H):
+    rng = np.random.default_rng(B * 31 + K + H)
+    net = RecurrentNet(input_dim=7, hidden_dim=H, output_horizon=24, seed=B + K)
+    loop = LoopRecurrentNet.of(net)
+    X = rng.standard_normal((B, K, 7))
+    Y = rng.standard_normal((B, 24))
+    y, h = net.forward(X)
+    y_ref, h_ref = loop.forward(X)
+    assert _bits_equal(y, y_ref) and _bits_equal(h, h_ref)
+    loss, grads = net.loss_and_grads(X, Y)
+    loss_ref, grads_ref = loop.loss_and_grads(X, Y)
+    assert _bits_equal(loss, loss_ref)
+    assert list(grads) == list(PARAM_NAMES)
+    for name in PARAM_NAMES:
+        assert _bits_equal(grads[name], grads_ref[name]), name
+
+
+def _drift_series(T: int) -> np.ndarray:
+    t = np.arange(T)
+    noise = np.random.default_rng(7).normal(0.0, 0.3, T)
+    return 5.0 + 3.0 * np.sin(2 * np.pi * t / 24) + 0.01 * t + noise
+
+
+def test_training_matches_the_per_gate_loop_bitwise():
+    grid = TimeGrid(0, 24 * 12)
+    series = _drift_series(24 * 12)
+    X, Y = window_dataset_recurrent(series, grid, 24, 24, 0, 24 * 8)
+    norm = Normalization.fit(X, Y)
+    Xn, Yn = norm.norm_x(X), norm.norm_y(Y)
+    net = RecurrentNet(input_dim=7, hidden_dim=8, output_horizon=24, seed=4)
+    loop = LoopRecurrentNet.of(net)
+    hyper = TrainConfig(epochs=120, learning_rate=0.05, batch_size=32, seed=2)
+    losses = _gd_train(net, Xn, Yn, hyper, hyper.learning_rate)
+    losses_ref = _gd_train(loop, Xn, Yn, hyper, hyper.learning_rate)
+    assert _bits_equal(losses, losses_ref)
+    for name in PARAM_NAMES:
+        assert _bits_equal(net.params[name], loop.params[name]), name
+
+    spec = ModelSpec(kind="recurrent", target="load", lag_K=24, horizon=24, hidden_dim=8)
+    online = OnlineData(history=series, calendar=grid, now=24 * 11, online_window=72)
+    fine = TrainConfig(epochs=20, learning_rate=0.05, batch_size=16, seed=9)
+    for kind in ("smalllr", "freeze"):
+        model = ForecastModel(spec=spec, norm=norm, net=net, train_losses=losses)
+        model_ref = ForecastModel(spec=spec, norm=norm, net=loop, train_losses=losses_ref)
+        out = apply_update(model, UpdateScheme(kind), online, fine)
+        out_ref = apply_update(model_ref, UpdateScheme(kind), online, fine)
+        assert isinstance(out_ref.net, LoopRecurrentNet)
+        assert len(out.train_losses) == len(losses) + fine.epochs
+        assert _bits_equal(out.train_losses, out_ref.train_losses), kind
+        for name in PARAM_NAMES:
+            assert _bits_equal(out.net.params[name], out_ref.net.params[name]), (kind, name)

@@ -25,7 +25,7 @@ from vppdispatch.forecast import (
 from vppdispatch.forecast.models import CELL_PARAMS, RecurrentNet
 from vppdispatch.forecast.training import _gd_train
 
-from oracles import recursive_predict_linear
+from oracles import recursive_predict_linear, windowed_estimate_variance
 
 
 GRID = TimeGrid(0, 24 * 30)
@@ -251,6 +251,85 @@ def _trained_recurrent(series, seed=0, epochs=25):
     spec = _recurrent_spec(hidden=8)
     X, Y = make_dataset(spec, series, GRID, 0, 24 * 10)
     return train(spec, (X, Y), TrainConfig(epochs=epochs, learning_rate=0.1, batch_size=32, seed=seed))
+
+
+class TestBatchedEstimateVariance:
+    """The recurrent estimate runs one forward over every window; the
+    oracle makes one ``predict`` call per window."""
+
+    T = 24 * 20
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        t = np.arange(self.T)
+        series = 4.0 + 3.0 * np.sin(2 * np.pi * t / 24) + np.random.default_rng(1).normal(0.0, 0.4, self.T)
+        return _trained_recurrent(series, seed=2, epochs=10), series
+
+    @staticmethod
+    def _both(model, series, t_start, t_end):
+        got, ref = [], []
+        est = estimate_variance(model, series, GRID, t_start, t_end, got)
+        est_ref = windowed_estimate_variance(model, series, GRID, t_start, t_end, ref)
+        return est, est_ref, got, ref
+
+    @staticmethod
+    def _assert_close(est, est_ref, got, ref):
+        assert np.allclose(est.sigma, est_ref.sigma, rtol=1e-12, atol=0.0)
+        assert len(got) == len(ref)
+        for (actual, pred), (actual_ref, pred_ref) in zip(got, ref):
+            assert np.array_equal(actual, actual_ref)
+            assert np.allclose(pred, pred_ref, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("t_start, t_end", [(24 * 12, 24 * 20), (0, 24 * 3), (24 * 18 - 1, 24 * 19 + 1)])
+    def test_matches_one_forecast_per_window(self, setting, t_start, t_end):
+        model, series = setting
+        est, est_ref, got, ref = self._both(model, series, t_start, t_end)
+        self._assert_close(est, est_ref, got, ref)
+        first = max(t_start, model.spec.lag_K)
+        assert len(got) == t_end - 24 - first + 1
+        for i, (actual, _) in enumerate(got):  # in window order
+            assert np.array_equal(actual, series[first + i : first + i + 24])
+
+    def test_correction_and_floor_are_applied(self, setting):
+        model, series = setting
+        shifted = replace(model, correction=(0.9, -3.0))
+        est, est_ref, got, ref = self._both(shifted, series, 24 * 12, 24 * 20)
+        self._assert_close(est, est_ref, got, ref)
+        preds = np.stack([pred for _, pred in got])
+        assert preds.min() == 0.0 and np.mean(preds == 0.0) > 0.05  # load floors at zero
+        unfloored = replace(shifted, spec=replace(shifted.spec, target="price"))
+        est, est_ref, got, ref = self._both(unfloored, series, 24 * 12, 24 * 20)
+        self._assert_close(est, est_ref, got, ref)
+        assert np.stack([pred for _, pred in got]).min() < -0.5
+
+    @pytest.mark.parametrize("t_end", [24 * 12 + 22, 24 * 12 + 23, 24 * 12 + 24])
+    def test_fewer_than_two_windows_rejected(self, setting, t_end):
+        model, series = setting
+        got, ref = [], []
+        with pytest.raises(ValueError, match="windows"):
+            estimate_variance(model, series, GRID, 24 * 12, t_end, got)
+        with pytest.raises(ValueError, match="windows"):
+            windowed_estimate_variance(model, series, GRID, 24 * 12, t_end, ref)
+        assert len(got) == len(ref) == max(0, t_end - 24 * 12 - 23)
+        for (actual, pred), (actual_ref, pred_ref) in zip(got, ref):
+            assert np.array_equal(actual, actual_ref)
+            assert np.allclose(pred, pred_ref, rtol=1e-14, atol=1e-14)
+
+    def test_short_history_raises(self, setting):
+        model, series = setting
+        with pytest.raises(InsufficientHistoryError):
+            estimate_variance(model, series[: 24 * 15], GRID, 24 * 12, 24 * 16)
+
+    def test_linear_models_match_bitwise(self):
+        series = _sinusoid(24 * 16) + np.random.default_rng(3).normal(0.0, 0.2, 24 * 16)
+        spec = _linear_spec()
+        model = train(spec, make_dataset(spec, series, GRID, 0, 24 * 8), TrainConfig(seed=0))
+        model = replace(model, correction=(1.1, -0.2))
+        est, est_ref, got, ref = self._both(model, series, 24 * 8, 24 * 16)
+        assert np.array_equal(est.sigma, est_ref.sigma)
+        assert len(got) == len(ref)
+        for (actual, pred), (actual_ref, pred_ref) in zip(got, ref):
+            assert np.array_equal(actual, actual_ref) and np.array_equal(pred, pred_ref)
 
 
 class TestApplyUpdate:
