@@ -43,6 +43,7 @@ from .forecast import (
     estimate_variance,
     make_dataset,
     predict,
+    predict_stacked,
     train,
 )
 from .dispatch import build_deterministic, build_stochastic, extract_plan, shift_basis, solve_lp
@@ -186,6 +187,9 @@ class ModelProvider:
     One model per building load, one shared model for solar capacity
     (trained on all buildings' series pooled, applied per building) and one
     for the price.
+
+    At each re-plan every recurrent series, the shared solar model once per
+    building, runs in one stacked forward (``predict_stacked``).
     """
 
     def __init__(self, instance: ProblemInstance, split: Split, config: ControllerConfig):
@@ -209,6 +213,13 @@ class ModelProvider:
             key = f"load:{u}"
             self.specs[key] = mk("load")
             self.series[key] = [np.asarray(instance.buildings[u].load)]
+
+        # the rows of the stacked forward: one per recurrent series
+        self._stack_rows = [
+            (key, series)
+            for key, spec in self.specs.items() if spec.kind == "recurrent"
+            for series in self.series[key]
+        ]
 
         self.models: dict[str, ForecastModel] = {}
         self.sigma: dict[str, UncertaintyEstimate] = {}
@@ -274,20 +285,20 @@ class ModelProvider:
     # -- inference -----------------------------------------------------
 
     def point_forecasts(self, t: int, H: int) -> Forecasts:
-        price = predict(self.models["price"], self.series["price"][0], self.grid, t, H)
-        if "solar" in self.models:
-            solar = np.stack(
-                [predict(self.models["solar"], s, self.grid, t, H) for s in self.series["solar"]]
+        rows: dict[str, list[np.ndarray]] = {key: [] for key in self.specs}
+        if self._stack_rows:
+            stacked = predict_stacked(
+                [self.models[key] for key, _ in self._stack_rows],
+                [series for _, series in self._stack_rows], self.grid, t, H,
             )
-        else:
-            solar = np.zeros((0, H))
-        load = np.stack(
-            [
-                predict(self.models[f"load:{u}"], self.series[f"load:{u}"][0], self.grid, t, H)
-                for u in range(len(self.instance.buildings))
-            ]
-        )
-        return Forecasts(solar=solar, load=load, price=np.maximum(price, 0.0))
+            for (key, _), row in zip(self._stack_rows, stacked):
+                rows[key].append(row)
+        for key, spec in self.specs.items():
+            if spec.kind == "linear":
+                rows[key] = [predict(self.models[key], s, self.grid, t, H) for s in self.series[key]]
+        solar = np.stack(rows["solar"]) if "solar" in rows else np.zeros((0, H))
+        load = np.stack([rows[f"load:{u}"][0] for u in range(len(self.instance.buildings))])
+        return Forecasts(solar=solar, load=load, price=np.maximum(rows["price"][0], 0.0))
 
     def sigmas(self, H: int) -> Uncertainty:
         def cut(key: str) -> np.ndarray:

@@ -3,12 +3,16 @@
 A feature vector for step t combines cyclic calendar encodings of t with
 the last K observed values of the target series (strictly before t).  The
 recurrent models consume sequences of single-lag rows instead of one wide
-vector: row s holds the value at s-1 and the calendar of s.  Those rows are built for a whole range of steps
-at once, and the training windows are strided views over them, copied out
-once; the values are the same bits as building each row on its own.
+vector: row s holds the value at s-1 and the calendar of s.  Those rows are
+built for a whole range of steps at once, and the training windows are
+strided views over them, copied out once; the sequences of several series
+at one step share one calendar block.  The values are the same bits as
+building each row on its own.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,11 +52,15 @@ def build_features(history: np.ndarray, calendar: TimeGrid, t: int, K: int) -> n
     return np.concatenate([calendar_encoding(calendar, t), history[t - K : t]])
 
 
-def _sequence_rows(history: np.ndarray, calendar: TimeGrid, first: int, stop: int) -> np.ndarray:
-    """Recurrent input rows for steps s in [first, stop), shape (stop - first, 7):
-    the observed value at s-1, then the calendar encoding of s."""
-    steps = np.arange(first, stop)
-    return np.column_stack([history[steps - 1], calendar_encoding(calendar, steps).T])
+def _sequence_rows(histories: Sequence[np.ndarray], calendar: TimeGrid, first: int, stop: int) -> np.ndarray:
+    """Recurrent input rows of M series for steps s in [first, stop), shape
+    (M, stop - first, 7): the observed value at s-1, then the calendar
+    encoding of s, which is encoded once for all series."""
+    out = np.empty((len(histories), stop - first, 7))
+    for m, history in enumerate(histories):
+        out[m, :, 0] = history[first - 1 : stop - 1]
+    out[:, :, 1:] = calendar_encoding(calendar, np.arange(first, stop)).T
+    return out
 
 
 def _check_sequence_range(history: np.ndarray, t: int, K: int) -> None:
@@ -74,9 +82,20 @@ def recurrent_sequence(history: np.ndarray, calendar: TimeGrid, t: int, K: int) 
     calendar encoding of step t-K+k+1, so the last element carries the
     calendar of the first step to be predicted.
     """
-    history = np.asarray(history, dtype=np.float64)
-    _check_sequence_range(history, t, K)
-    return _sequence_rows(history, calendar, t - K + 1, t + 1)
+    return recurrent_sequences([history], calendar, t, K)[0]
+
+
+def recurrent_sequences(histories: Sequence[np.ndarray], calendar: TimeGrid, t: int, K: int) -> np.ndarray:
+    """``recurrent_sequence`` of M series at one step, shape (M, K, 7).
+
+    The calendar block of steps t-K+1 ... t is encoded once; each series
+    gives only its lag column, and each is checked as ``recurrent_sequence``
+    checks it.
+    """
+    histories = [np.asarray(history, dtype=np.float64) for history in histories]
+    for history in histories:
+        _check_sequence_range(history, t, K)
+    return _sequence_rows(histories, calendar, t - K + 1, t + 1)
 
 
 def window_dataset_linear(
@@ -110,7 +129,7 @@ def window_dataset_recurrent(
         raise InsufficientHistoryError(
             f"targets run to step {t_end}, history covers [0, {history.shape[0]})"
         )
-    rows = _sequence_rows(history, calendar, first - K + 1, last + 1)
+    rows = _sequence_rows([history], calendar, first - K + 1, last + 1)[0]
     X = np.ascontiguousarray(sliding_window_view(rows, K, axis=0).transpose(0, 2, 1))
     Y = sliding_window_view(history[first:t_end], horizon).copy()
     return X, Y

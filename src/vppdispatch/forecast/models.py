@@ -6,16 +6,21 @@ single affine map from the final hidden state to one value per horizon
 step.  Gradients are hand-derived backpropagation through time and are
 pinned against central finite differences in the tests, so any change here
 must keep them exact.  The three gates run fused, one stacked product per
-step for all their inputs, with the same bits as a gate-at-a-time cell
-(see ``RecurrentNet.forward``).  The gates' logistic function is
-branch-free and gives the same bits as the two-branch stable form; ``mse``
-is the one definition of the training loss, shared by ``loss_and_grads``
-and the per-epoch loss that training logs from a forward pass alone.
+step for all their inputs, with the same bits as a gate-at-a-time cell.
+One loop, ``recurrence``, runs one net or a stack of M nets over a leading
+axis (the weights stacked as ``GateWeights``), each net of a stack with
+the bits of its own forward; ``RecurrentNet.forward`` is its unstacked
+case.  The gates' logistic function is branch-free and gives the same
+bits as the two-branch stable form; ``mse`` is the one definition of the
+training loss, shared by ``loss_and_grads`` and the per-epoch loss that
+training logs from a forward pass alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +78,87 @@ class LinearAR:
         return LinearAR(beta[:f], float(beta[f]))
 
 
+class GateWeights(NamedTuple):
+    """A recurrent net's weights stacked gate-major, optionally with a
+    leading stack axis of M nets.
+
+    Without a stack axis the shapes are ``W`` (3, H, D) ``[Wz; Wr; Wc]``,
+    ``Uzr`` (2, H, H) ``[Uz; Ur]``, ``bzr`` (2, H), ``Uc`` (H, H), ``bc``
+    (H,), ``Wo`` (O, H) and ``bo`` (O,); a stack puts (M,) in front of
+    each.  Every array holds the weights in their own orientation and
+    C-contiguous; ``recurrence`` uses them through transposed views.
+    """
+
+    W: np.ndarray
+    Uzr: np.ndarray
+    bzr: np.ndarray
+    Uc: np.ndarray
+    bc: np.ndarray
+    Wo: np.ndarray
+    bo: np.ndarray
+
+    @staticmethod
+    def stack(nets: Sequence["RecurrentNet"]) -> "GateWeights":
+        """The weights of M nets of one shape along a leading axis; a net
+        may appear more than once.  The arrays are copies."""
+        return GateWeights(*(np.stack(arrays) for arrays in zip(*(net.gate_weights() for net in nets))))
+
+
+def recurrence(
+    sequences: np.ndarray, weights: GateWeights, cache: list | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gated recurrence and its readout, for one net or a stack of nets.
+
+    ``sequences`` is (B, K, D) for one net's ``weights`` or (M, B, K, D)
+    for a stack, series m running through net m.  Returns the readout
+    (..., B, O) and the final hidden state (..., B, H); ``cache``, if
+    given, receives each step's ``(x, h, z, r, c)``.
+
+    The gates run fused, gate-major.  A step makes one input product into
+    a (..., 3, B, H) buffer, one recurrent product (..., 2, B, H) for z
+    and r, one in-place ``_sigmoid`` over that block, and ``c`` from
+    ``(r * h) @ Uc.T``.  A stacked ``matmul`` makes one BLAS call per
+    (series, gate) on exactly the operands of the per-gate ``x @ Wz.T``,
+    so every product keeps its bits, and series m of a stack gets the bits
+    of its own unstacked forward.  That holds only while the weights enter
+    as transposed views of C-contiguous arrays and ``x`` as a broadcast
+    view: copying the transposed weights contiguous changes the operands
+    of both the input product and the readout, and their bits.  A (B, 3H)
+    product would keep the bits too, except in a one-unit cell, whose
+    per-gate products are matrix-vector ones that round differently.  Each
+    pre-activation adds ``h U`` to ``x W`` (one commutative sum) and then
+    ``b``, which is ``(x W + h U) + b`` bit for bit, and the new state is
+    ``(1 - z) * h + z * c``, so the activations are the per-gate loop's
+    (pinned against ``LoopRecurrentNet`` in the tests).  ``backward``
+    reads the cache of an unstacked call.
+    """
+    W, Uzr, bzr, Uc, bc, Wo, bo = weights
+    W_T, Uzr_T, Uc_T = W.swapaxes(-1, -2), Uzr.swapaxes(-1, -2), Uc.swapaxes(-1, -2)
+    bzr, bc = bzr[..., None, :], bc[..., None, :]
+    *stack, B, K, _ = sequences.shape
+    h = np.zeros((*stack, B, Uc.shape[-1]))
+    xw = np.empty((*stack, 3, B, Uc.shape[-1]))
+    xw_zr, xw_c = xw[..., :2, :, :], xw[..., 2, :, :]
+    for k in range(K):
+        x = sequences[..., k, :]
+        np.matmul(x[..., None, :, :], W_T, out=xw)
+        zr = np.matmul(h[..., None, :, :], Uzr_T)
+        zr += xw_zr
+        zr += bzr
+        _sigmoid(zr, out=zr)
+        z, r = zr[..., 0, :, :], zr[..., 1, :, :]
+        xw_c += np.matmul(r * h, Uc_T)
+        xw_c += bc
+        c = np.tanh(xw_c)
+        h_new = 1.0 - z
+        h_new *= h
+        h_new += z * c
+        if cache is not None:
+            cache.append((x, h, z, r, c))
+        h = h_new
+    return np.matmul(h, Wo.swapaxes(-1, -2)) + bo[..., None, :], h
+
+
 class RecurrentNet:
     """Gated recurrent network with an affine per-horizon readout."""
 
@@ -107,28 +193,24 @@ class RecurrentNet:
     # forward / backward
     # ------------------------------------------------------------------
 
+    def gate_weights(self) -> GateWeights:
+        """This net's weights stacked gate-major (see ``GateWeights``)."""
+        p = self.params
+        return GateWeights(
+            W=np.stack((p["Wz"], p["Wr"], p["Wc"])),
+            Uzr=np.stack((p["Uz"], p["Ur"])),
+            bzr=np.stack((p["bz"], p["br"])),
+            Uc=p["Uc"], bc=p["bc"], Wo=p["Wo"], bo=p["bo"],
+        )
+
     def forward(self, sequences: np.ndarray, cache: list | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Run the recurrence over a batch of sequences.
 
         ``sequences`` has shape (B, K, input_dim).  Returns the readout
         (B, output_horizon) and the final hidden state (B, hidden_dim).
         The hidden state starts at zero.  Pass a list as ``cache`` to
-        record per-step activations for ``backward``.
-
-        The gates run fused, gate-major.  The weights are stacked once per
-        call, ``[Wz; Wr; Wc]`` (3, H, D) and ``[Uz; Ur]`` (2, H, H), each
-        used transposed.  A step makes one input product into a (3, B, H)
-        buffer, one recurrent product (2, B, H) for z and r, one in-place
-        ``_sigmoid`` over that block, and ``c`` from ``(r * h) @ Uc.T``.
-        A stacked ``matmul`` makes one BLAS call per gate on exactly the
-        operands of the per-gate ``x @ Wz.T``, so every product keeps its
-        bits; a (B, 3H) product would too, except in a one-unit cell, whose
-        per-gate products are matrix-vector ones that round differently.
-        Each pre-activation adds ``h U`` to ``x W`` (one commutative sum)
-        and then ``b``, which is ``(x W + h U) + b`` bit for bit, so the
-        activations are the per-gate loop's (pinned against
-        ``LoopRecurrentNet`` in the tests).  Each gate's block is
-        contiguous, so the elementwise work runs over whole arrays.
+        record per-step activations for ``backward``.  This is
+        ``recurrence`` over the net's own weights, with no stack axis.
         """
         sequences = np.asarray(sequences, dtype=np.float64)
         if sequences.ndim != 3 or sequences.shape[2] != self.input_dim:
@@ -137,33 +219,7 @@ class RecurrentNet:
             )
         if sequences.shape[1] == 0:
             raise ValueError("sequence must be nonempty")
-        p = self.params
-        B, H = sequences.shape[0], self.hidden_dim
-        W = np.stack((p["Wz"], p["Wr"], p["Wc"])).transpose(0, 2, 1)
-        Uzr = np.stack((p["Uz"], p["Ur"])).transpose(0, 2, 1)
-        bzr = np.stack((p["bz"], p["br"]))[:, None, :]
-        Uc_T, bc = p["Uc"].T, p["bc"]
-        h = np.zeros((B, H))
-        xw = np.empty((3, B, H))
-        for k in range(sequences.shape[1]):
-            x = sequences[:, k, :]
-            np.matmul(x, W, out=xw)
-            zr = np.matmul(h, Uzr)
-            zr += xw[:2]
-            zr += bzr
-            z, r = _sigmoid(zr, out=zr)
-            c = xw[2]
-            c += (r * h) @ Uc_T
-            c += bc
-            c = np.tanh(c)
-            h_new = 1.0 - z
-            h_new *= h
-            h_new += z * c
-            if cache is not None:
-                cache.append((x, h, z, r, c))
-            h = h_new
-        y = h @ p["Wo"].T + p["bo"]
-        return y, h
+        return recurrence(sequences, self.gate_weights(), cache)
 
     def backward(self, cache: list, d_y: np.ndarray, h_final: np.ndarray) -> dict[str, np.ndarray]:
         """Backpropagate a readout gradient through time.

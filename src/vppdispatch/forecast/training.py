@@ -11,12 +11,16 @@ Five online update schemes are supported: no update, a self-adaptive
 affine correction fitted to recent prediction errors, retraining from
 scratch, continued training at a reduced learning rate, and continued
 training with the recurrent cell frozen so only the readout adapts.
+
+``predict_stacked`` forecasts M recurrent series at one step in one stacked
+forward with each series' ``predict`` bits.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +30,11 @@ from .features import (
     build_features,
     calendar_encoding,
     recurrent_sequence,
+    recurrent_sequences,
     window_dataset_linear,
     window_dataset_recurrent,
 )
-from .models import CELL_PARAMS, PARAM_NAMES, LinearAR, RecurrentNet, mse
+from .models import CELL_PARAMS, PARAM_NAMES, GateWeights, LinearAR, RecurrentNet, mse, recurrence
 
 TARGETS = ("solar_capacity", "load", "price")
 FLOORED_TARGETS = ("solar_capacity", "load")
@@ -251,6 +256,37 @@ def predict(model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t: in
         yn, _ = model.net.forward(model.norm.norm_x(seq)[None, :, :])
         out = np.asarray(model.norm.denorm_y(yn[0][:horizon_T]))
     return _corrected(model, out)
+
+
+def predict_stacked(
+    models: Sequence[ForecastModel],
+    histories: Sequence[np.ndarray],
+    calendar: TimeGrid,
+    t: int,
+    horizon_T: int,
+) -> np.ndarray:
+    """``predict`` for M recurrent models at one step in one stacked
+    forward, shape (M, horizon_T); a model may appear more than once.
+
+    Row m is ``predict(models[m], histories[m], calendar, t, horizon_T)``
+    bit for bit, with its checks.  The models share ``lag_K`` and
+    ``hidden_dim``.  Each series is normalized with its own model's
+    ``norm_x`` into one C-contiguous (M, 1, K, 7) batch, which
+    ``recurrence`` runs as M batch-1 forwards over the nets' weights
+    stacked by ``GateWeights.stack`` (see ``models.recurrence`` for why
+    the bits are kept), then denormalized and corrected per series.
+    """
+    for model in models:
+        if horizon_T > model.spec.horizon:
+            raise ValueError(f"model horizon {model.spec.horizon} cannot cover {horizon_T} steps")
+    if len({model.spec.lag_K for model in models}) > 1:
+        raise ValueError("stacked models must share lag_K")
+    seqs = recurrent_sequences(histories, calendar, t, models[0].spec.lag_K)
+    batch = np.stack([model.norm.norm_x(seq)[None] for model, seq in zip(models, seqs)])
+    yn, _ = recurrence(batch, GateWeights.stack([model.net for model in models]))
+    return np.stack(
+        [_corrected(model, model.norm.denorm_y(y[0, :horizon_T])) for model, y in zip(models, yn)]
+    )
 
 
 def _corrected(model: ForecastModel, out: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ steps or targets is invented: the uncertainty estimate carries none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +76,30 @@ class ScenarioSet:
         return self.price.shape[1]
 
 
+@lru_cache(maxsize=1)
+def _standard_normals(
+    seed: int, N: int, solar_shape: tuple[int, ...], load_shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The standard normals behind N scenarios: price (N, T), solar (N, G,
+    T) and load (N, U, T), drawn in that order from one generator seeded
+    with ``seed``; read-only and shared by every call with these arguments.
+
+    A controller samples with one seed at every re-plan, so consecutive
+    re-plans draw the same noise.  Only the latest shape is kept: an
+    episode's shrinking tail goes through up to a horizon's worth of shapes
+    once each, and keeping them all would hold megabytes for nothing.
+    """
+    rng = np.random.default_rng(seed)
+    noise = (
+        rng.standard_normal((N, load_shape[1])),
+        rng.standard_normal((N,) + solar_shape),
+        rng.standard_normal((N,) + load_shape),
+    )
+    for arr in noise:
+        arr.flags.writeable = False
+    return noise
+
+
 def sample_scenarios(forecasts: Forecasts, uncertainty: Uncertainty, N: int, seed: int) -> ScenarioSet:
     """Draw N truncated-Gaussian realizations around the point forecasts.
 
@@ -83,16 +108,15 @@ def sample_scenarios(forecasts: Forecasts, uncertainty: Uncertainty, N: int, see
     """
     if N < 1:
         raise ValueError("scenario count N must be >= 1")
-    T = forecasts.horizon
-    rng = np.random.default_rng(seed)
+    price_z, solar_z, load_z = _standard_normals(seed, N, forecasts.solar.shape, forecasts.load.shape)
 
-    def draw(mean: np.ndarray, sigma: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    def draw(mean: np.ndarray, sigma: np.ndarray, noise: np.ndarray) -> np.ndarray:
         sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), mean.shape)
-        noise = rng.standard_normal(shape)
         return np.maximum(mean[None, ...] + sig[None, ...] * noise, 0.0)
 
-    price = draw(forecasts.price, uncertainty.price, (N, T))
-    solar = draw(forecasts.solar, uncertainty.solar, (N,) + forecasts.solar.shape)
-    load = draw(forecasts.load, uncertainty.load, (N,) + forecasts.load.shape)
-    return ScenarioSet(solar=solar, load=load, price=price, seed=seed)
-
+    return ScenarioSet(
+        solar=draw(forecasts.solar, uncertainty.solar, solar_z),
+        load=draw(forecasts.load, uncertainty.load, load_z),
+        price=draw(forecasts.price, uncertainty.price, price_z),
+        seed=seed,
+    )

@@ -19,7 +19,9 @@ vector at every horizon step; the package's array versions must match them
 bit for bit.  The recurrent cell runs one gate at a time, forward and
 backward, which the fused cell must match bit for bit, and sigma is estimated
 with one forecast per validation window, which the batched estimate must
-match to rounding.
+match to rounding.  Scenarios are sampled with their standard normals drawn
+afresh at every call; the package's cached draws must match them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from vppdispatch.dispatch import LinearProgram
 from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH, _STALL
 from vppdispatch.forecast import InsufficientHistoryError, UncertaintyEstimate, build_features, predict
 from vppdispatch.forecast.models import RecurrentNet, _sigmoid
+from vppdispatch.scenario import ScenarioSet
 
 
 class ProgramBuilder:
@@ -265,6 +268,25 @@ def windowed_estimate_variance(model, history, calendar, t_start: int, t_end: in
     if len(residuals) < 2:
         raise ValueError(f"need at least 2 validation windows, got {len(residuals)}")
     return UncertaintyEstimate(np.std(np.stack(residuals), axis=0))
+
+
+def drawing_sample_scenarios(forecasts, uncertainty, N: int, seed: int) -> ScenarioSet:
+    """``sample_scenarios`` drawing its standard normals afresh at every
+    call: price, then solar, then load, from one generator."""
+    if N < 1:
+        raise ValueError("scenario count N must be >= 1")
+    T = forecasts.horizon
+    rng = np.random.default_rng(seed)
+
+    def draw(mean: np.ndarray, sigma: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), mean.shape)
+        noise = rng.standard_normal(shape)
+        return np.maximum(mean[None, ...] + sig[None, ...] * noise, 0.0)
+
+    price = draw(forecasts.price, uncertainty.price, (N, T))
+    solar = draw(forecasts.solar, uncertainty.solar, (N,) + forecasts.solar.shape)
+    load = draw(forecasts.load, uncertainty.load, (N,) + forecasts.load.shape)
+    return ScenarioSet(solar=solar, load=load, price=price, seed=seed)
 
 
 def finite_difference_grads(net, sequences, targets, step: float = 1e-5) -> dict:

@@ -9,6 +9,7 @@ from vppdispatch.forecast import (
     build_features,
     calendar_encoding,
     recurrent_sequence,
+    recurrent_sequences,
     window_dataset_linear,
     window_dataset_recurrent,
 )
@@ -100,6 +101,12 @@ class TestSequencesMatchRowByRowOracle:
                 ref = recurrent_sequence_rows(self.HISTORY, grid, t, K)
                 assert got.shape == ref.shape == (K, 7)
                 assert np.array_equal(self._bits(got), self._bits(ref)), (start_index, K, t)
+                histories = [self.HISTORY, 2.0 * self.HISTORY + 1.0, self.HISTORY[::-1]]
+                stacked = recurrent_sequences(histories, grid, t, K)
+                assert stacked.shape == (3, K, 7) and stacked.flags.c_contiguous
+                for history, got in zip(histories, stacked):
+                    ref = recurrent_sequence_rows(history, grid, t, K)
+                    assert np.array_equal(self._bits(got), self._bits(ref)), (start_index, K, t)
 
     @pytest.mark.parametrize("start_index", [0, 700, 8620])
     def test_window_dataset_recurrent(self, start_index):
@@ -124,6 +131,8 @@ class TestSequencesMatchRowByRowOracle:
             recurrent_sequence(history, grid, t=31, K=4)
         with pytest.raises(ValueError):
             recurrent_sequence(history, grid, t=10, K=0)
+        with pytest.raises(InsufficientHistoryError):
+            recurrent_sequences([np.arange(40.0), history], grid, t=31, K=4)
         with pytest.raises(InsufficientHistoryError):
             window_dataset_recurrent(history, grid, K=4, horizon=6, t_start=0, t_end=9)
         with pytest.raises(InsufficientHistoryError):

@@ -13,7 +13,7 @@ from vppdispatch.forecast import (
     apply_update,
     window_dataset_recurrent,
 )
-from vppdispatch.forecast.models import CELL_PARAMS, PARAM_NAMES, _sigmoid
+from vppdispatch.forecast.models import CELL_PARAMS, PARAM_NAMES, GateWeights, _sigmoid, recurrence
 from vppdispatch.forecast.training import _gd_train
 
 from oracles import LoopRecurrentNet, finite_difference_grads, masked_sigmoid
@@ -120,6 +120,20 @@ def test_fused_cell_matches_the_per_gate_loop_bitwise(B, K, H):
     assert list(grads) == list(PARAM_NAMES)
     for name in PARAM_NAMES:
         assert _bits_equal(grads[name], grads_ref[name]), name
+
+
+@pytest.mark.parametrize("H", [1, 16])
+@pytest.mark.parametrize("B", [1, 2, 64, 241])
+@pytest.mark.parametrize("M", [1, 4])
+def test_stacked_recurrence_matches_each_forward_bitwise(M, B, H):
+    rng = np.random.default_rng(M * 1000 + B * 31 + H)
+    nets = [RecurrentNet(input_dim=7, hidden_dim=H, output_horizon=24, seed=10 * M + m) for m in range(M)]
+    X = rng.standard_normal((M, B, 24, 7))
+    y, h = recurrence(X, GateWeights.stack(nets))
+    assert y.shape == (M, B, 24) and h.shape == (M, B, H)
+    for m, net in enumerate(nets):
+        y_ref, h_ref = net.forward(X[m])
+        assert _bits_equal(y[m], y_ref) and _bits_equal(h[m], h_ref), m
 
 
 def _drift_series(T: int) -> np.ndarray:

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios
+from vppdispatch.scenario import Forecasts, Uncertainty, _standard_normals, sample_scenarios
+
+from oracles import drawing_sample_scenarios
 
 
 def _forecasts(T=6):
@@ -81,3 +83,32 @@ def test_every_sample_nonnegative(seed, n):
     unc = Uncertainty(solar=np.full(6, 1.0), load=np.full(6, 2.0), price=np.full(6, 0.3))
     scen = sample_scenarios(fc, unc, N=n, seed=seed)
     assert np.all(scen.solar >= 0) and np.all(scen.load >= 0) and np.all(scen.price >= 0)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_cached_noise_matches_fresh_draws_bitwise():
+    rng = np.random.default_rng(5)
+    # interleaved shapes: an episode's shrinking tail, then a new episode
+    cases = [(300, 2, 2, 24, 9), (300, 2, 2, 23, 9), (300, 2, 2, 24, 9), (50, 0, 1, 24, 9), (300, 2, 2, 24, 4)]
+    for N, G, U, T, seed in cases:
+        fc = Forecasts(
+            solar=rng.uniform(0, 2, (G, T)), load=rng.uniform(0.5, 3, (U, T)), price=rng.uniform(0.05, 0.3, T)
+        )
+        unc = Uncertainty(solar=rng.uniform(0, 0.5, T), load=rng.uniform(0, 0.5, (U, T)), price=rng.uniform(0, 0.05, T))
+        got = sample_scenarios(fc, unc, N, seed)
+        ref = drawing_sample_scenarios(fc, unc, N, seed)
+        assert got.seed == ref.seed
+        for name in ("solar", "load", "price"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), (N, G, U, T, name)
+
+
+def test_cached_noise_is_read_only():
+    for noise in _standard_normals(3, 4, (2, 6), (1, 6)):
+        with pytest.raises(ValueError):
+            noise[0, 0] = 1.0
+    scen = sample_scenarios(_forecasts(), Uncertainty.zero(), N=4, seed=3)
+    scen.load[0, 0, 0] = 1.0  # the scenarios themselves are the caller's
