@@ -12,7 +12,11 @@ forecasting bundle the way ``perfbench/run.py`` does (none for the oracle
 workload) and runs ``run_episode`` once per district with that bundle.
 The fields are every array, cost, count and forecast log of each
 ``EpisodeResult`` with its final models, and every weight, normalization
-and sigma of each bundle; the wall-clock fields are left out.
+and sigma of each bundle; the wall-clock fields are left out.  Each tree
+also runs its own ``scripts/run_drift_benchmark.py``: every cell of its
+CSV reports is a field, and each SVG plot is one field of its bytes.
+``timings.txt`` (wall clock) and ``run_config.json`` (which names the
+output directory) are left out.
 
 One line per field says ``bitwise`` or gives the maximum absolute and
 relative difference.  The script exits 1 when a field that both trees
@@ -23,6 +27,7 @@ or type; fields only one tree produces are listed and do not fail.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import os
 import subprocess
@@ -63,8 +68,33 @@ def flatten(value, name: str = "") -> dict[str, np.ndarray]:
     return out
 
 
+def _cell(text: str) -> np.ndarray:
+    """A CSV cell as a number when it parses as one, else as its text."""
+    try:
+        return np.asarray(float(text))
+    except ValueError:
+        return np.asarray(text)
+
+
+def report_fields(out_dir: Path) -> dict[str, np.ndarray]:
+    """The fields of a drift benchmark report directory:
+    ``drift/<file>/row<i>.<column>`` for every cell of every CSV, numbers as
+    floats and text as text, and ``drift/<file>`` with the bytes of every
+    SVG."""
+    fields: dict[str, np.ndarray] = {}
+    for path in sorted(out_dir.rglob("*.csv")):
+        key = f"drift/{path.relative_to(out_dir).as_posix()}"
+        with path.open(newline="") as f:
+            for i, row in enumerate(csv.DictReader(f)):
+                fields.update({f"{key}/row{i}.{column}": _cell(text) for column, text in row.items()})
+    for path in sorted(out_dir.rglob("*.svg")):
+        fields[f"drift/{path.relative_to(out_dir).as_posix()}"] = np.asarray(np.void(path.read_bytes()))
+    return fields
+
+
 def collect(tree: Path) -> dict[str, np.ndarray]:
-    """The fields of ``tree``'s program on every workload and seed."""
+    """The fields of ``tree``'s program on every workload and seed, and of
+    its drift benchmark reports."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import vppdispatch
 
@@ -89,6 +119,14 @@ def collect(tree: Path) -> dict[str, np.ndarray]:
                 episode = run_episode(instance, wl.split, wl.controller, wl.name, wl.perturbation, bundle)
                 fields.update(flatten(episode, f"{workload}/seed{seed}/district{k}/episode"))
                 print(f"{tree}: {workload} seed {seed} district {k}", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory(prefix="drift-") as out_dir:
+        subprocess.run(
+            [sys.executable, str(tree / "scripts" / "run_drift_benchmark.py"), "--out", out_dir],
+            check=True, cwd=tree, stdout=subprocess.DEVNULL,
+            env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        )
+        fields.update(report_fields(Path(out_dir)))
+    print(f"{tree}: drift benchmark reports", file=sys.stderr, flush=True)
     return fields
 
 

@@ -11,9 +11,10 @@ so behaviour differs only along the intended axes (scenarios on/off,
 re-plan interval, update scheme).
 
 Each re-plan starts the simplex from the previous re-plan's optimal basis,
-shifted by the steps between the two; the solver falls back to its cold
-start when that basis is unusable, and after a fallback the next re-plan
-starts cold.
+shifted by the steps between the two.  A re-plan starts cold, from the
+solver's slack basis where every row logical is basic, when that basis is
+unusable or the two plans share no step, and after a fallback the next
+re-plan starts cold.
 
 An infeasible program never aborts an episode: the step falls back to zero
 action and the incident is counted.  Likewise a fine-tune whose training
@@ -127,7 +128,7 @@ class EpisodeResult:
     models: dict | None = None
     finetune_divergences: int = 0  # updates that diverged and kept the old model
     warm_starts: int = 0  # re-plans solved from the previous plan's shifted basis
-    cold_starts: int = 0  # re-plans solved from the solver's cold start
+    cold_starts: int = 0  # re-plans solved cold, from the solver's slack basis
     sigma_skips: int = 0  # series left out of a sigma estimate for want of two windows
 
 
@@ -445,11 +446,7 @@ def run_episode(
     plan = None
     plan_t0 = 0
     plan_forecasts: Forecasts | None = None
-    # the last optimal program and its basis; plans T_rl >= horizon_T steps
-    # apart share no step, so day-ahead re-plans keep none, and otherwise
-    # the shift of T_rl steps is shorter than the previous plan
-    last_lp, last_basis = None, None
-    keep_basis = config.T_rl < config.horizon_T
+    last_lp, last_basis = None, None  # the last optimal program and its basis
     warm_starts = 0
     lp_fallbacks = 0
     dispatch_seconds: list[float] = []
@@ -485,8 +482,7 @@ def run_episode(
                 plan = extract_plan(solution, lp)
                 plan_t0 = t_rel
                 plan_forecasts = forecasts
-                if keep_basis:
-                    last_lp, last_basis = lp, solution.basis
+                last_lp, last_basis = lp, solution.basis
             else:
                 plan = None
                 last_lp, last_basis = None, None

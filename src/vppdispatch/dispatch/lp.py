@@ -101,8 +101,8 @@ class LPSolution:
     iterations: int
     basis: Basis | None = None  # the final basis, when optimal
     phase_iterations: tuple[int, int, int] = (0, 0, 0)  # pivots of phases 1, 2 and 3
-    # None when no start basis was given; "accepted", or why the start
-    # basis was rejected for the cold start ("wrong size", "singular")
+    # None when no start basis was given; "accepted", or why the start basis
+    # was rejected for a cold start from the slack basis ("wrong size", "singular")
     warm_start: str | None = None
 
 

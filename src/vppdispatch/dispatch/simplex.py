@@ -8,9 +8,7 @@ so after ``_STALL`` pivots in a row that move no value the entering column
 is Bland's smallest eligible index until a pivot moves again; the leaving
 row always follows Bland's smallest-column rule among tied ratios, and
 Bland's rule throughout a degenerate run cannot cycle.  The choice of the
-entering column sits in ``_entering`` alone.  Phase 1 adds artificial
-columns for rows whose logical starts outside its bounds and minimizes
-their sum with the same machinery.
+entering column sits in ``_entering`` alone.
 
 Phase 3 runs when the program carries a tie-break cost.  Once phase 2 is
 optimal, every nonbasic column whose primary reduced cost is nonzero is
@@ -23,19 +21,23 @@ and the point returned is the tie-break minimizer of that face: a function
 of the program, not of the pivot order.  An iteration limit that falls in
 phase 3 still returns an optimal point.
 
-A solve may start warm from a basis given in ``SolveOptions.basis``, such
-as the optimal basis of the previous re-plan shifted one step on.  The
-start is set aside for the cold start above when it does not have one
-basic entry per row, or when its basis matrix is singular (``inv`` raises,
-or ``B B^-1`` misses the identity by more than 1e-9).  Otherwise its
-nonbasic columns sit at their bounds and its basic values follow; those
-outside their bounds are clipped onto them, and a single artificial column
+Every solve starts from a basis: the one given in ``SolveOptions.basis``,
+such as the optimal basis of the previous re-plan shifted one step on, or
+else the slack basis, where every row logical is basic and the basis
+matrix is ``-I``; a cold start is a start from the slack basis.  A given
+basis is set aside for the slack basis when it does not have one basic
+entry per row, or when its basis matrix is singular (``inv`` raises, or
+``B B^-1`` misses the identity by more than 1e-9).  The nonbasic columns
+sit at their bounds and the basic values follow; those outside their
+bounds are clipped onto them, and a single artificial column
 ``g = B (x_B - clip(x_B))``, bounded to [0, 1] and nonbasic at 1, carries
-the difference.  Phase 1 then minimizes ``g`` from that feasible start,
-and phases 2 and 3 run as from a cold start.  Since phase 3 makes the plan
-a function of the program, the start basis moves it only by rounding.
-An optimal solution reports its final basis, one basic entry per row: an
-artificial still basic at zero hands its place to a row logical.
+the difference.  From the slack basis these are the row activities that
+miss their bounds.  Phase 1 minimizes ``g`` from that feasible start with
+the same machinery, and phases 2 and 3 follow.  Since phase 3 makes the
+plan a function of the program, the start basis moves it only by
+rounding.  An optimal solution reports its final basis, one basic entry
+per row: an artificial still basic at zero hands its place to a row
+logical.
 
 A pivot changes the status of at most two columns and the inverse in the
 rows where the entering column has an entry, so the pivot loop carries the
@@ -80,7 +82,7 @@ class SolveOptions:
     max_iterations: int = 20000
     tolerance: float = 1e-9
     presolve: bool = True
-    basis: Basis | None = None  # start basis in the program's layout; None starts cold
+    basis: Basis | None = None  # start basis in the program's layout; None starts from the slack basis
 
 
 def _nonbasic_values(lo: np.ndarray, up: np.ndarray, status: np.ndarray) -> np.ndarray:
@@ -115,16 +117,13 @@ class _Core:
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray,
-                 basis: np.ndarray, status: np.ndarray, tol: float, binv: np.ndarray | None = None):
+                 basis: np.ndarray, status: np.ndarray, tol: float, binv: np.ndarray):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
         self.basis = basis
         self.status = status
         self.tol = tol
+        self.binv = binv
         self.pivots_since_refresh = 0
-        if binv is None:
-            self.refactor()
-        else:
-            self.binv = binv
 
     def refactor(self) -> None:
         self.binv = np.linalg.inv(self.A[:, self.basis])
@@ -231,49 +230,7 @@ class _Outcome:
     warm: str | None  # LPSolution.warm_start
 
 
-def _cold_start(A: np.ndarray, Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, tol: float):
-    """The core over the logicals' basis, with one artificial column per row
-    whose logical starts outside its bounds; returns the core, the rows of
-    the artificials and the residual scale of phase 1."""
-    m, n = A.shape
-    b = np.zeros(m)
-    status = np.empty(n + m, dtype=np.int64)
-    finite_lo = np.isfinite(lo[:n])
-    finite_up = np.isfinite(up[:n])
-    status[:n] = np.where(finite_lo, _AT_LO, np.where(finite_up, _AT_UP, _FREE))
-    status[n:] = _BASIC
-    basis = np.arange(n, n + m)
-
-    x_struct = _nonbasic_values(lo[:n], up[:n], status[:n])
-    r = A @ x_struct
-    below = r < lo[n:] - tol
-    above = r > up[n:] + tol
-    infeasible_rows = np.flatnonzero(below | above)
-    if not infeasible_rows.size:
-        return _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol), infeasible_rows, 0.0
-
-    # phase 1: artificials absorb the residual of each violated row
-    n_art = infeasible_rows.size
-    D = np.zeros((m, n_art))
-    art_basis = np.empty(n_art, dtype=np.int64)
-    for k, i in enumerate(infeasible_rows):
-        target = lo[n + i] if below[i] else up[n + i]
-        # row holds A_i.x - r_i + D_ik a_k = 0 with r_i pinned at the violated
-        # bound, so the artificial starts at |A_i.x - target| >= 0
-        D[i, k] = -np.sign(r[i] - target)
-        status[n + i] = _AT_LO if below[i] else _AT_UP
-        art_basis[k] = n + m + k
-    A1 = np.concatenate([Afull, D], axis=1)
-    lo1 = np.concatenate([lo, np.zeros(n_art)])
-    up1 = np.concatenate([up, np.full(n_art, np.inf)])
-    c1 = np.concatenate([np.zeros(n + m), np.ones(n_art)])
-    status1 = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int64)])
-    basis1 = basis.copy()
-    basis1[infeasible_rows] = art_basis
-    return _Core(A1, b, c1, lo1, up1, basis1, status1, tol), infeasible_rows, float(np.abs(r).max())
-
-
-def _warm_start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, start: np.ndarray, tol: float):
+def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, start: np.ndarray, tol: float):
     """The core over the basis of ``start``, a status over the columns of
     ``Afull``, or the reason it cannot be used: it has not one basic entry
     per row, or its basis matrix is singular.  Returns the outcome
@@ -324,7 +281,7 @@ def _solve_bounded(
     """Two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up, col_lo <= x <= col_up,
     then, given ``tiebreak``, phase 3: min tiebreak.x over the optima of c.
     ``start`` is a status over the columns and then the row logicals; if it
-    is usable, phase 1 starts from its basis, otherwise from the logicals."""
+    is usable, phase 1 starts from its basis, otherwise from the slack basis."""
     m, n = A.shape
     tol = options.tolerance
 
@@ -345,20 +302,20 @@ def _solve_bounded(
     lo = np.concatenate([col_lo, row_lo])
     up = np.concatenate([col_up, row_up])
 
-    warm, core, art_rows = None, None, None
+    warm, core = None, None
     if start is not None:
-        warm, core, scale = _warm_start(Afull, c, lo, up, start, tol)
-    if core is None:
-        core, art_rows, scale = _cold_start(A, Afull, c, lo, up, tol)
+        warm, core, scale = _start(Afull, c, lo, up, start, tol)
+    if core is None:  # the slack basis, -I, is never rejected
+        _, core, scale = _start(Afull, c, lo, up, np.repeat([_AT_LO, _BASIC], [n, m]), tol)
     phases = [0, 0, 0]
     if core.A.shape[1] > n + m:
-        # phase 1: minimize the artificials
+        # phase 1: minimize the artificial
         state, phases[0] = core.iterate(options.max_iterations)
         if state == "iteration_limit":
             return _Outcome(state, core.full_x()[:n], None, tuple(phases), warm)
         if float(core.c @ core.full_x()) > tol * max(1.0, scale):
             return _Outcome("infeasible", core.full_x()[:n], None, tuple(phases), warm)
-        # keep the artificials pinned at zero through phases 2 and 3
+        # keep the artificial pinned at zero through phases 2 and 3
         core.lo[n + m :] = 0.0
         core.up[n + m :] = 0.0
         core.c = np.concatenate([c, np.zeros(core.A.shape[1] - n)])
@@ -379,15 +336,12 @@ def _solve_bounded(
 
     final = None
     if state == "optimal":
-        # an artificial still basic (at zero) hands its place to a nonbasic
-        # row logical, which enters at its current value: a cold artificial
-        # to the logical of its row, the one column parallel to it, the warm
-        # one to the logical with the largest entry in its row of the inverse
+        # the artificial, if still basic (at zero), hands its place to the
+        # nonbasic row logical with the largest entry in its row of the
+        # inverse, which enters at its current value
         final = core.status[: n + m].copy()
         left = np.flatnonzero(core.basis >= n + m)
-        if art_rows is not None:
-            final[n + art_rows[core.basis[left] - (n + m)]] = _BASIC
-        elif left.size:  # the warm start's artificial
+        if left.size:
             logicals = np.flatnonzero(final[n:] != _BASIC)
             final[n + logicals[np.abs(core.binv[left[0], logicals]).argmax()]] = _BASIC
     return _Outcome(state, core.full_x()[:n], final, tuple(phases), warm)
@@ -551,8 +505,8 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
 
     ``options.basis`` warm-starts the solve from a basis in the program's
     layout; a basis of the wrong size or a singular one is set aside for the
-    cold start, and ``warm_start`` says which happened.  An optimal solution
-    carries its final basis in the same layout.
+    slack basis of a cold start, and ``warm_start`` says which happened.  An
+    optimal solution carries its final basis in the same layout.
     """
     options = options or SolveOptions()
     lp.validate()

@@ -83,3 +83,42 @@ def test_flatten_walks_results_and_leaves_out_the_wall_clock():
     ]
     assert fields["ep.models.price"] == np.asarray("None")
     assert fields["ep.fine_tune_steps"].shape == (0,)
+
+
+def _write_report(out, value="0.25", plot=b"<svg>a</svg>"):
+    (out / "trajectories").mkdir(parents=True)
+    (out / "plots").mkdir()
+    (out / "summary.csv").write_text(f"controller,seed,average\nsofo,7,{value}\nrbc,7,nan\n")
+    (out / "trajectories" / "sofo_seed7.csv").write_text("t,entity,value\n0,b0,1.5\n")
+    (out / "plots" / "summary.svg").write_bytes(plot)
+    (out / "timings.txt").write_text(f"sofo seconds_per_24h_dispatch={value}\n")
+    (out / "run_config.json").write_text(f'{{"out_dir": "{out}"}}')
+
+
+def test_report_cells_and_plots_are_fields(tmp_path):
+    _write_report(tmp_path)
+    fields = compare_outputs.report_fields(tmp_path)
+    assert sorted(fields) == [
+        "drift/plots/summary.svg",
+        "drift/summary.csv/row0.average", "drift/summary.csv/row0.controller", "drift/summary.csv/row0.seed",
+        "drift/summary.csv/row1.average", "drift/summary.csv/row1.controller", "drift/summary.csv/row1.seed",
+        "drift/trajectories/sofo_seed7.csv/row0.entity", "drift/trajectories/sofo_seed7.csv/row0.t",
+        "drift/trajectories/sofo_seed7.csv/row0.value",
+    ]  # timings.txt and run_config.json are left out
+    assert fields["drift/summary.csv/row0.average"] == 0.25
+    assert fields["drift/summary.csv/row0.controller"] == np.asarray("sofo")
+    assert fields["drift/plots/summary.svg"].tobytes() == b"<svg>a</svg>"
+
+
+def test_report_diff_names_the_cell_that_moved(tmp_path):
+    _write_report(tmp_path / "base")
+    _write_report(tmp_path / "same")
+    _write_report(tmp_path / "moved", value=str(np.nextafter(0.25, 1.0)), plot=b"<svg>b</svg>")
+    base = compare_outputs.report_fields(tmp_path / "base")
+    lines, failed = compare_outputs.compare(base, compare_outputs.report_fields(tmp_path / "same"), tol=0.0)
+    assert not failed and lines[-1].startswith("10 shared fields: 10 bitwise")  # NaN cells included
+    lines, failed = compare_outputs.compare(base, compare_outputs.report_fields(tmp_path / "moved"), tol=1e-15)
+    assert failed
+    assert "drift/summary.csv/row0.average: max abs 5.55e-17, max rel 2.22e-16" in lines
+    assert "drift/plots/summary.svg: differs  ABOVE TOL" in lines
+    assert lines[-1].startswith("10 shared fields: 8 bitwise, 1 within --tol 1e-15, 1 above")

@@ -420,9 +420,9 @@ class TestWarmStart:
     def test_random_programs_from_perturbed_bases(self):
         """Random programs warm-started from the optimal basis of a copy with
         other costs and shifted rows (the same matrix, so the basis is
-        always usable): the cold optimum, and a full basis."""
+        always usable): the cold optimum, and a full basis from both starts."""
         rng = np.random.default_rng(11)
-        infeasible_starts = 0
+        infeasible_starts = infeasible_cold_starts = 0
         for trial in range(40):
             c, A, row_lo, row_up, col_lo, col_up = random_bounded_lp(rng)
             lp = _build(c, A, row_lo, row_up, col_lo, col_up)
@@ -437,9 +437,11 @@ class TestWarmStart:
                 assert warm.warm_start == "accepted", trial
                 assert warm.status == cold.status == "optimal", trial
                 assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective)), trial
-                assert basic_count(warm.basis) == lp.n_rows, trial
+                assert basic_count(warm.basis) == basic_count(cold.basis) == lp.n_rows, trial
                 infeasible_starts += warm.phase_iterations[0] > 0
+                infeasible_cold_starts += cold.phase_iterations[0] > 0
         assert infeasible_starts >= 5  # warm phase 1 ran
+        assert infeasible_cold_starts >= 5  # phase 1 from the slack basis ran
 
 
 def _highs(lp, cost, cap=None):
