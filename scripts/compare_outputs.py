@@ -16,7 +16,12 @@ and sigma of each bundle; the wall-clock fields are left out.  Each tree
 also runs its own ``scripts/run_drift_benchmark.py``: every cell of its
 CSV reports is a field, and each SVG plot is one field of its bytes.
 ``timings.txt`` (wall clock) and ``run_config.json`` (which names the
-output directory) are left out.
+output directory) are left out.  None of these runs starts a solve from a
+slack basis that violates rows, so each tree also solves two such programs
+cold, which runs phase 1: the 48-step deterministic and the 50-scenario
+stochastic dispatch program of an 8-day district whose batteries start at
+half their capacity.  Their fields are ``x``, the objective, the pivots of
+each phase and the final basis.
 
 One line per field says ``bitwise`` or gives the maximum absolute and
 relative difference.  The script exits 1 when a field that both trees
@@ -92,9 +97,46 @@ def report_fields(out_dir: Path) -> dict[str, np.ndarray]:
     return fields
 
 
+def cold_solve_fields() -> dict[str, np.ndarray]:
+    """The fields of the two cold solves that run phase 1, ``cold/<program>/<field>``."""
+    from vppdispatch.dispatch import build_deterministic, build_stochastic, solve_lp
+    from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios
+    from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
+
+    district = generate_synthetic(SyntheticSpec(
+        days=8, n_buildings=2, noise_load=0.08, noise_solar=0.15, pv_scale=2.0,
+        battery_hours=5.0, battery_c_rate=0.2, seed=3,
+    ))
+    window = district.slice(7, 48)
+    window = dataclasses.replace(window, storages=tuple(
+        dataclasses.replace(s, e_initial=0.5 * s.e_max) for s in window.storages
+    ))
+    forecasts = Forecasts(
+        solar=np.stack([b.solar_capacity for b in window.buildings]),
+        load=np.stack([b.load for b in window.buildings]),
+        price=window.market.price,
+    )
+    spread = Uncertainty(solar=np.full(48, 0.2), load=np.full(48, 0.15), price=np.full(48, 0.02))
+    programs = {
+        "deterministic": build_deterministic(window, forecasts),
+        "stochastic": build_stochastic(window, sample_scenarios(forecasts, spread, N=50, seed=1)),
+    }
+    fields: dict[str, np.ndarray] = {}
+    for name, lp in programs.items():
+        solution = solve_lp(lp)
+        fields.update({
+            f"cold/{name}/x": solution.x,
+            f"cold/{name}/objective": np.asarray(solution.objective),
+            f"cold/{name}/phase_iterations": np.asarray(solution.phase_iterations),
+            f"cold/{name}/basis.cols": solution.basis.cols,
+            f"cold/{name}/basis.rows": solution.basis.rows,
+        })
+    return fields
+
+
 def collect(tree: Path) -> dict[str, np.ndarray]:
-    """The fields of ``tree``'s program on every workload and seed, and of
-    its drift benchmark reports."""
+    """The fields of ``tree``'s program on every workload and seed, of its
+    cold phase-1 solves, and of its drift benchmark reports."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import vppdispatch
 
@@ -104,7 +146,7 @@ def collect(tree: Path) -> dict[str, np.ndarray]:
     from vppdispatch.synthetic import generate_synthetic
     from workloads import WORKLOADS
 
-    fields: dict[str, np.ndarray] = {}
+    fields = cold_solve_fields()
     for workload in sorted(WORKLOADS):
         for seed in SEEDS:
             wl = WORKLOADS[workload](seed)

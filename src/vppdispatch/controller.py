@@ -43,7 +43,7 @@ from .forecast import (
     apply_update,
     estimate_variance,
     make_dataset,
-    predict,
+    predict,  # not called here; perfbench/tracing.py wraps each layer function under this module's name
     predict_stacked,
     train,
 )
@@ -190,7 +190,8 @@ class ModelProvider:
     for the price.
 
     At each re-plan every recurrent series, the shared solar model once per
-    building, runs in one stacked forward (``predict_stacked``).
+    building, runs in one stacked forward, and every linear series in one
+    stacked recursion (two calls of ``predict_stacked``, one per kind).
     """
 
     def __init__(self, instance: ProblemInstance, split: Split, config: ControllerConfig):
@@ -215,12 +216,11 @@ class ModelProvider:
             self.specs[key] = mk("load")
             self.series[key] = [np.asarray(instance.buildings[u].load)]
 
-        # the rows of the stacked forward: one per recurrent series
-        self._stack_rows = [
-            (key, series)
-            for key, spec in self.specs.items() if spec.kind == "recurrent"
-            for series in self.series[key]
-        ]
+        # the rows of the two stacks: one per recurrent series, one per linear series
+        self._stack_rows, self._linear_rows = (
+            [(key, series) for key, spec in self.specs.items() if spec.kind == kind for series in self.series[key]]
+            for kind in ("recurrent", "linear")
+        )
 
         self.models: dict[str, ForecastModel] = {}
         self.sigma: dict[str, UncertaintyEstimate] = {}
@@ -287,16 +287,13 @@ class ModelProvider:
 
     def point_forecasts(self, t: int, H: int) -> Forecasts:
         rows: dict[str, list[np.ndarray]] = {key: [] for key in self.specs}
-        if self._stack_rows:
-            stacked = predict_stacked(
-                [self.models[key] for key, _ in self._stack_rows],
-                [series for _, series in self._stack_rows], self.grid, t, H,
-            )
-            for (key, _), row in zip(self._stack_rows, stacked):
-                rows[key].append(row)
-        for key, spec in self.specs.items():
-            if spec.kind == "linear":
-                rows[key] = [predict(self.models[key], s, self.grid, t, H) for s in self.series[key]]
+        for stack in (self._stack_rows, self._linear_rows):
+            if stack:
+                stacked = predict_stacked(
+                    [self.models[key] for key, _ in stack], [series for _, series in stack], self.grid, t, H,
+                )
+                for (key, _), row in zip(stack, stacked):
+                    rows[key].append(row)
         solar = np.stack(rows["solar"]) if "solar" in rows else np.zeros((0, H))
         load = np.stack([rows[f"load:{u}"][0] for u in range(len(self.instance.buildings))])
         return Forecasts(solar=solar, load=load, price=np.maximum(rows["price"][0], 0.0))

@@ -24,18 +24,29 @@ class InsufficientHistoryError(ValueError):
     pass
 
 
+def _phase_table(period: int, phase: np.ndarray) -> np.ndarray:
+    """Sin and cos, rows 0 and 1, of the angle ``2 pi phase / period``."""
+    angle = 2 * np.pi * phase / float(period)
+    return np.stack([np.sin(angle), np.cos(angle)])
+
+
+# the hour-of-day and day-of-week pairs of each hour of the week, and the
+# month-of-year pairs of each month
+_WEEK = np.concatenate([_phase_table(24, np.arange(168) % 24), _phase_table(7, np.arange(168) // 24)])
+_MONTH = _phase_table(12, np.arange(12))
+
+
 def calendar_encoding(grid: TimeGrid, t: int | np.ndarray) -> np.ndarray:
     """Sin/cos pairs for hour of day, day of week and month of year at step t.
 
     ``t`` is an int, giving shape (6,), or an integer array of n steps,
-    giving shape (6, n) with one column per step.
+    giving shape (6, n) with one column per step.  The pairs are looked up
+    in tables over the hours of a week and the months of a year; each entry
+    is the ``sin`` or ``cos`` of ``2 pi phase / period`` that the formula
+    gives at that step.
     """
     idx = grid.start_index + t
-    hour = idx % 24
-    dow = (idx // 24) % 7
-    month = (idx // 720) % 12
-    angles = np.array([2 * np.pi * hour / 24.0, 2 * np.pi * dow / 7.0, 2 * np.pi * month / 12.0])
-    return np.concatenate([np.sin(angles), np.cos(angles)])[[0, 3, 1, 4, 2, 5]]
+    return np.concatenate([_WEEK.take(idx % 168, axis=-1), _MONTH.take(idx // 720 % 12, axis=-1)])
 
 
 def build_features(history: np.ndarray, calendar: TimeGrid, t: int, K: int) -> np.ndarray:
@@ -43,13 +54,19 @@ def build_features(history: np.ndarray, calendar: TimeGrid, t: int, K: int) -> n
     encoding of t, then the K values of ``history`` immediately before t
     (most recent last)."""
     history = np.asarray(history, dtype=np.float64)
+    return np.concatenate([calendar_encoding(calendar, t), lag_window(history, t, K)])
+
+
+def lag_window(history: np.ndarray, t: int, K: int) -> np.ndarray:
+    """The lag part of ``build_features``, with its checks: the K values of
+    ``history`` immediately before t, shape (K,)."""
     if K < 1:
         raise ValueError("lag count K must be >= 1")
     if t - K < 0 or t > history.shape[0]:
         raise InsufficientHistoryError(
             f"need {K} observations before step {t}, history covers [0, {history.shape[0]})"
         )
-    return np.concatenate([calendar_encoding(calendar, t), history[t - K : t]])
+    return history[t - K : t]
 
 
 def _sequence_rows(histories: Sequence[np.ndarray], calendar: TimeGrid, first: int, stop: int) -> np.ndarray:

@@ -12,8 +12,11 @@ affine correction fitted to recent prediction errors, retraining from
 scratch, continued training at a reduced learning rate, and continued
 training with the recurrent cell frozen so only the readout adapts.
 
-``predict_stacked`` forecasts M recurrent series at one step in one stacked
-forward with each series' ``predict`` bits.
+``predict_stacked`` forecasts M series of one kind at one step with each
+series' ``predict`` bits: recurrent series in one stacked forward, linear
+series in one recursion whose steps normalize the lags of every series at
+once (``_linear_recursion``, of which a linear ``predict`` is the one-series
+case).
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 
 from ..domain import TimeGrid
 from .features import (
-    build_features,
     calendar_encoding,
+    lag_window,
     recurrent_sequence,
     recurrent_sequences,
     window_dataset_linear,
@@ -227,28 +230,13 @@ def predict(model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t: in
     """Point forecasts for steps [t, t+horizon_T) given history up to t.
 
     Applies the model's affine correction, then floors solar and load
-    forecasts at zero.
+    forecasts at zero.  A linear model runs ``_linear_recursion`` on its
+    one series.
     """
     spec = model.spec
     history = np.asarray(history, dtype=np.float64)
     if spec.kind == "linear":
-        # The features of step t+h are the calendar of t+h and the K values
-        # before it, the later ones this forecast's own predictions.  The
-        # calendar block is encoded and normalized once; per step only the
-        # lags are, and the dot product runs on the same 6+K operands as
-        # over the whole normalized feature vector.
-        K, norm = spec.lag_K, model.norm
-        out = np.empty(horizon_T)
-        lags = np.empty(K + horizon_T)
-        lags[:K] = build_features(history, calendar, t, K)[6:]  # raises on a short history
-        steps = calendar_encoding(calendar, t + np.arange(horizon_T)).T
-        row = np.empty((horizon_T, 6 + K))
-        row[:, :6] = (steps - norm.feat_mean[:6]) / norm.feat_scale[:6]
-        lag_mean, lag_scale = norm.feat_mean[6:], norm.feat_scale[6:]
-        for h in range(horizon_T):
-            np.divide(lags[h : h + K] - lag_mean, lag_scale, out=row[h, 6:])
-            value = model.linear.predict(row[h]) * norm.target_scale + norm.target_mean
-            out[h] = lags[K + h] = value  # recursive: feed the prediction back
+        out = _linear_recursion([model], [history], calendar, t, horizon_T)[0]
     else:
         if horizon_T > spec.horizon:
             raise ValueError(f"model horizon {spec.horizon} cannot cover {horizon_T} steps")
@@ -258,6 +246,42 @@ def predict(model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t: in
     return _corrected(model, out)
 
 
+def _linear_recursion(
+    models: Sequence[ForecastModel],
+    histories: Sequence[np.ndarray],
+    calendar: TimeGrid,
+    t: int,
+    horizon_T: int,
+) -> np.ndarray:
+    """The recursive forecasts of M linear models sharing ``lag_K``, before
+    correction, shape (M, horizon_T); a model may appear more than once.
+
+    The features of step t+h are the calendar of t+h and the K values
+    before it, the later ones the series' own predictions.  The calendar
+    block is encoded once and normalized with each series' own model.  At
+    each step one subtract and one divide normalize the (M, K) lags, and
+    each series' ``LinearAR.predict`` runs on its own 6+K row; its value,
+    times ``target_scale`` plus ``target_mean``, is fed back as the next
+    lag.  ``predict`` is the M=1 case.
+    """
+    M, K = len(models), models[0].spec.lag_K
+    lags = np.empty((M, K + horizon_T))  # column K + h holds the predictions of step h
+    for m, history in enumerate(histories):
+        lags[m, :K] = lag_window(history, t, K)  # raises on a short history
+    feat_mean = np.array([model.norm.feat_mean for model in models])
+    feat_scale = np.array([model.norm.feat_scale for model in models])
+    steps = calendar_encoding(calendar, t + np.arange(horizon_T)).T
+    rows = np.empty((M, horizon_T, 6 + K))
+    rows[:, :, :6] = (steps - feat_mean[:, None, :6]) / feat_scale[:, None, :6]
+    lag_mean, lag_scale = feat_mean[:, 6:], feat_scale[:, 6:]
+    predictors = [(model.linear.predict, model.norm.target_scale, model.norm.target_mean) for model in models]
+    for h in range(horizon_T):
+        np.divide(lags[:, h : h + K] - lag_mean, lag_scale, out=rows[:, h, 6:])
+        for m, (predict_row, scale, mean) in enumerate(predictors):
+            lags[m, K + h] = predict_row(rows[m, h]) * scale + mean
+    return lags[:, K:]
+
+
 def predict_stacked(
     models: Sequence[ForecastModel],
     histories: Sequence[np.ndarray],
@@ -265,28 +289,34 @@ def predict_stacked(
     t: int,
     horizon_T: int,
 ) -> np.ndarray:
-    """``predict`` for M recurrent models at one step in one stacked
-    forward, shape (M, horizon_T); a model may appear more than once.
+    """``predict`` for M models of one kind at one step, shape (M,
+    horizon_T); a model may appear more than once.
 
     Row m is ``predict(models[m], histories[m], calendar, t, horizon_T)``
-    bit for bit, with its checks.  The models share ``lag_K`` and
-    ``hidden_dim``.  Each series is normalized with its own model's
-    ``norm_x`` into one C-contiguous (M, 1, K, 7) batch, which
+    bit for bit, with its checks.  The models share ``lag_K``.  Linear
+    models run one ``_linear_recursion`` over all M series.  Recurrent
+    models also share ``hidden_dim``: each series is normalized with its
+    own model's ``norm_x`` into one C-contiguous (M, 1, K, 7) batch, which
     ``recurrence`` runs as M batch-1 forwards over the nets' weights
     stacked by ``GateWeights.stack`` (see ``models.recurrence`` for why
-    the bits are kept), then denormalized and corrected per series.
+    the bits are kept), then denormalized.  Each row is then corrected.
     """
-    for model in models:
-        if horizon_T > model.spec.horizon:
-            raise ValueError(f"model horizon {model.spec.horizon} cannot cover {horizon_T} steps")
+    if len({model.spec.kind for model in models}) > 1:
+        raise ValueError("stacked models must share a kind")
     if len({model.spec.lag_K for model in models}) > 1:
         raise ValueError("stacked models must share lag_K")
-    seqs = recurrent_sequences(histories, calendar, t, models[0].spec.lag_K)
-    batch = np.stack([model.norm.norm_x(seq)[None] for model, seq in zip(models, seqs)])
-    yn, _ = recurrence(batch, GateWeights.stack([model.net for model in models]))
-    return np.stack(
-        [_corrected(model, model.norm.denorm_y(y[0, :horizon_T])) for model, y in zip(models, yn)]
-    )
+    if models[0].spec.kind == "linear":
+        histories = [np.asarray(history, dtype=np.float64) for history in histories]
+        out = _linear_recursion(models, histories, calendar, t, horizon_T)
+    else:
+        for model in models:
+            if horizon_T > model.spec.horizon:
+                raise ValueError(f"model horizon {model.spec.horizon} cannot cover {horizon_T} steps")
+        seqs = recurrent_sequences(histories, calendar, t, models[0].spec.lag_K)
+        batch = np.stack([model.norm.norm_x(seq)[None] for model, seq in zip(models, seqs)])
+        yn, _ = recurrence(batch, GateWeights.stack([model.net for model in models]))
+        out = [model.norm.denorm_y(y[0, :horizon_T]) for model, y in zip(models, yn)]
+    return np.stack([_corrected(model, row) for model, row in zip(models, out)])
 
 
 def _corrected(model: ForecastModel, out: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ to the same bits.  The dispatch program is also built the loop way, one
 named column and one row at a time, with the SOC of each extracted plan
 rebuilt one step at a time and the linear forecast rebuilding its feature
 vector at every horizon step; the package's array versions must match them
-bit for bit.  The recurrent cell runs one gate at a time, forward and
+bit for bit, and the calendar encoding is computed from its formula at every
+call, which the looked-up encoding must match bit for bit.  The recurrent cell runs one gate at a time, forward and
 backward, which the fused cell must match bit for bit, and sigma is estimated
 with one forecast per validation window, which the batched estimate must
 match to rounding.  Scenarios are sampled with their standard normals drawn
@@ -158,6 +159,18 @@ def loop_soc(e_initial, p_charge: np.ndarray, p_discharge: np.ndarray, dt: float
             level = level + dt * (p_charge[si, t] - p_discharge[si, t])
             soc[si, t] = level
     return soc
+
+
+def formula_calendar_encoding(grid, t) -> np.ndarray:
+    """The calendar encoding computed from its formula at every call: the
+    sin and cos of ``2 pi phase / period`` for the hour of day, the day of
+    week and the month of year."""
+    idx = grid.start_index + t
+    hour = idx % 24
+    dow = (idx // 24) % 7
+    month = (idx // 720) % 12
+    angles = np.array([2 * np.pi * hour / 24.0, 2 * np.pi * dow / 7.0, 2 * np.pi * month / 12.0])
+    return np.concatenate([np.sin(angles), np.cos(angles)])[[0, 3, 1, 4, 2, 5]]
 
 
 def recursive_predict_linear(model, history, calendar, t: int, horizon_T: int) -> np.ndarray:

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vppdispatch.dispatch.lp import BASIC
+
 _spec = importlib.util.spec_from_file_location(
     "compare_outputs", Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
 )
@@ -122,3 +124,13 @@ def test_report_diff_names_the_cell_that_moved(tmp_path):
     assert "drift/summary.csv/row0.average: max abs 5.55e-17, max rel 2.22e-16" in lines
     assert "drift/plots/summary.svg: differs  ABOVE TOL" in lines
     assert lines[-1].startswith("10 shared fields: 8 bitwise, 1 within --tol 1e-15, 1 above")
+
+
+def test_the_cold_solves_run_phase_one():
+    fields = compare_outputs.cold_solve_fields()
+    for program in ("deterministic", "stochastic"):
+        phases = fields[f"cold/{program}/phase_iterations"]
+        assert phases.shape == (3,) and phases[0] > 0
+        assert np.isfinite(fields[f"cold/{program}/objective"])
+        cols, rows = fields[f"cold/{program}/basis.cols"], fields[f"cold/{program}/basis.rows"]
+        assert np.count_nonzero(cols == BASIC) + np.count_nonzero(rows == BASIC) == rows.size

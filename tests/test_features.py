@@ -14,7 +14,11 @@ from vppdispatch.forecast import (
     window_dataset_recurrent,
 )
 
-from oracles import recurrent_sequence_rows
+from oracles import formula_calendar_encoding, recurrent_sequence_rows
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
 def test_hour_zero_encoding():
@@ -57,6 +61,19 @@ def test_cyclic_encodings_bounded(t, start):
     enc = calendar_encoding(TimeGrid(start, 3000), t)
     assert enc.shape == (6,)
     assert np.all(enc >= -1.0) and np.all(enc <= 1.0)
+
+
+@pytest.mark.parametrize("start", [0, 7, 500, 8700])
+def test_calendar_lookups_match_the_formula_bitwise(start):
+    grid = TimeGrid(start, 20000)
+    for t in range(0, 9000, 7):
+        assert np.array_equal(_bits(calendar_encoding(grid, t)), _bits(formula_calendar_encoding(grid, t)))
+    for n in (1, 2, 3, 23, 24, 25, 48, 337):
+        for first in range(0, 9000, 311):
+            steps = first + np.arange(n)
+            got = calendar_encoding(grid, steps)
+            assert got.shape == (6, n)
+            assert np.array_equal(_bits(got), _bits(formula_calendar_encoding(grid, steps)))
 
 
 def test_recurrent_sequence_shape_and_content():

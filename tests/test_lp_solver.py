@@ -237,6 +237,34 @@ class TestPivotPathMatchesRebuildingLoop:
         got = self._check(lp, monkeypatch, SolveOptions(basis=start))
         assert got.status == "optimal" and got.warm_start == "accepted" and got.phase_iterations[0] > 0
 
+    @pytest.mark.parametrize("scenarios", [None, 300], ids=["T48", "N300"])
+    def test_consecutive_warm_replans(self, scenarios, monkeypatch):
+        """24 re-plans of a 48-step window, each warm-started from the
+        previous re-plan's own optimal basis shifted one step on."""
+
+        def replans():
+            solutions, previous = [], None
+            for k in range(24):
+                lp = dispatch_lp(48, n_scenarios=scenarios, start=7 + k)
+                basis = None if previous is None else shift_basis(previous[1].basis, previous[0], lp, 1)
+                solution = solve_lp(lp, SolveOptions(basis=basis))
+                solutions.append(solution)
+                previous = lp, solution
+            return solutions
+
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex._Core, "iterate", rebuilding_iterate)
+            expect = replans()
+        got = replans()
+        for k, (g, e) in enumerate(zip(got, expect)):
+            assert g.status == e.status == "optimal", k
+            assert g.warm_start == e.warm_start, k
+            assert g.phase_iterations == e.phase_iterations and g.iterations == e.iterations, k
+            assert np.array_equal(g.basis.cols, e.basis.cols) and np.array_equal(g.basis.rows, e.basis.rows), k
+            assert np.array_equal(g.x.view(np.int64), e.x.view(np.int64)), k
+        assert [g.warm_start for g in got].count("accepted") == 23
+        assert sum(g.iterations for g in got) > 24 * 10  # every re-plan pivots
+
     def test_phase_counts(self, monkeypatch):
         lp = dispatch_lp(48, initial_soc=0.5)
         calls, _ = self._trace(lp, monkeypatch)

@@ -1,4 +1,5 @@
-"""Stacked recurrent inference against per-series ``predict``, bit for bit."""
+"""Stacked recurrent and linear inference against per-series ``predict``,
+bit for bit."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from vppdispatch.forecast import (
     UpdateScheme,
     predict,
     predict_stacked,
+    train,
+    window_dataset_linear,
     window_dataset_recurrent,
 )
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
@@ -73,6 +76,62 @@ def test_stacked_predict_keeps_the_per_series_checks():
         predict_stacked(models, [histories[0], histories[1][:50]], GRID, 100, 24)
     with pytest.raises(InsufficientHistoryError):
         predict_stacked(models, histories, GRID, 23, 24)
+
+
+# ----------------------------------------------------------------------
+# the linear recursion over a stack of series
+# ----------------------------------------------------------------------
+
+def _linear_model(m: int) -> ForecastModel:
+    """A least-squares model of its own series, with a correction from the third on."""
+    spec = ModelSpec(kind="linear", target=TARGETS[m % 4], lag_K=24)
+    model = train(spec, window_dataset_linear(_series(m), GRID, 24, 0, 24 * 6), TrainConfig())
+    if m >= 2:
+        model.correction = (1.0 + 0.1 * m, -0.2 * m)
+    return model
+
+
+@pytest.mark.parametrize("M", [1, 2, 5])
+def test_stacked_linear_recursion_matches_each_predict_bitwise(M):
+    models = [_linear_model(m) for m in range(M)]
+    histories = [_series(m) for m in range(M)]
+    for t, horizon_T in [(24, 24), (100, 24), (200, 23), (239, 1), (150, 48)]:
+        _check_rows(models, histories, t, horizon_T)
+
+
+def test_a_corrected_linear_model_stacks_with_its_correction():
+    plain, corrected = _linear_model(0), _linear_model(3)
+    assert corrected.correction != (1.0, 0.0)
+    histories = [_series(0), _series(3)]
+    got = predict_stacked([plain, corrected], histories, GRID, 120, 24)
+    uncorrected = replace(corrected, correction=(1.0, 0.0))
+    assert not np.array_equal(got[1], predict(uncorrected, histories[1], GRID, 120, 24))
+    _check_rows([plain, corrected], histories, 120, 24)
+
+
+def test_a_shared_linear_model_may_appear_twice():
+    shared, other = _linear_model(1), _linear_model(4)
+    _check_rows([shared, other, shared], [_series(1), _series(4), _series(2)], 150, 24)
+
+
+def test_stacked_linear_recursion_keeps_each_short_history_error():
+    models = [_linear_model(m) for m in range(3)]
+    histories = [_series(m) for m in range(3)]
+    for m, (t, short) in enumerate([(100, 50), (30, 20), (100, 99)]):
+        cut = list(histories)
+        cut[m] = histories[m][:short]
+        with pytest.raises(InsufficientHistoryError) as stacked:
+            predict_stacked(models, cut, GRID, t, 24)
+        with pytest.raises(InsufficientHistoryError) as alone:
+            predict(models[m], cut[m], GRID, t, 24)
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(InsufficientHistoryError):
+        predict_stacked(models, histories, GRID, 23, 24)
+
+
+def test_a_stack_takes_one_kind():
+    with pytest.raises(ValueError, match="share a kind"):
+        predict_stacked([_linear_model(0), _model(1, 4)], [_series(0), _series(1)], GRID, 100, 24)
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +198,31 @@ def test_a_diverged_fine_tune_keeps_the_stacked_forecasts():
     assert np.array_equal(_bits(after.solar), _bits(before.solar))
 
 
-def test_linear_forecasters_build_no_stack(monkeypatch):
+def _spy_stacks(monkeypatch) -> list[int]:
+    """Record the number of models of every ``predict_stacked`` call the provider makes."""
+    sizes: list[int] = []
+
+    def spy(models, *args):
+        sizes.append(len(models))
+        return predict_stacked(models, *args)
+
+    monkeypatch.setattr("vppdispatch.controller.predict_stacked", spy)
+    return sizes
+
+
+def test_linear_forecasters_run_one_linear_stack(monkeypatch):
     provider = _provider(replace(CONFIG, forecaster="linear"))
     assert provider._stack_rows == []
-    monkeypatch.setattr("vppdispatch.controller.predict_stacked", None)  # calling it would raise
-    _assert_per_series(provider, SPLIT.val_end, 24)
+    assert [key for key, _ in provider._linear_rows] == ["price", "solar", "solar", "load:0", "load:1"]
+    sizes = _spy_stacks(monkeypatch)
+    for t, H in [(SPLIT.val_end, 24), (INSTANCE.n_steps - 5, 5)]:
+        _assert_per_series(provider, t, H)
+    assert sizes == [5, 5]
+
+
+def test_a_linear_price_beside_recurrent_loads_is_a_one_series_stack(monkeypatch):
+    provider = _provider(replace(CONFIG, price_forecaster="linear"))
+    assert [key for key, _ in provider._linear_rows] == ["price"]
+    sizes = _spy_stacks(monkeypatch)
+    _assert_per_series(provider, SPLIT.val_end + 7, 24)
+    assert sizes == [4, 1]
