@@ -109,8 +109,9 @@ def test_a_corrected_linear_model_stacks_with_its_correction():
     _check_rows([plain, corrected], histories, 120, 24)
 
 
-def test_a_shared_linear_model_may_appear_twice():
+def test_a_shared_linear_solar_model_may_appear_twice():
     shared, other = _linear_model(1), _linear_model(4)
+    assert shared.spec.target == "solar_capacity"
     _check_rows([shared, other, shared], [_series(1), _series(4), _series(2)], 150, 24)
 
 
