@@ -33,7 +33,13 @@ battery to absorb solar that earns nothing.  The weights are generic on
 purpose: weights that are linear in the step index (``1 + t/T``,
 golden-ratio grades) tie again on sums such as steps 1 + 54 and 6 + 49,
 and those ties let the pivot order choose the first-step action again.
-The weights are drawn once per (storages, generators, steps) shape.
+A weight belongs to its absolute step (``instance.grid.start_index``
+plus the step in the window), not to its place in the window: the
+weights of step ``t`` are row ``t`` of one ``default_rng(0)`` table per
+(storages, generators) shape.  Two re-plans a step apart then break ties
+the same way on every step they share, so the previous plan's shifted
+basis stays close to the new tie-break optimum and phase 3 has little
+left to do.
 
 Every program has the same layout, recorded in ``meta["columns"]`` and
 ``meta["rows"]``: one column per quantity, device and step, one SOC
@@ -48,7 +54,6 @@ next by index arithmetic over that layout.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -69,16 +74,23 @@ def _check_horizon(instance: ProblemInstance, *series: np.ndarray) -> int:
     return T
 
 
-@lru_cache(maxsize=256)
-def _tiebreak_weights(S: int, G: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform draws behind the tie-break weights, shape (2, S, T) for
-    charge and discharge and (G, T) for generation; read-only, shared by
-    every program of the shape."""
-    rng = np.random.default_rng(0)
-    u = rng.uniform(size=(2, S, T))
-    v = rng.uniform(size=(G, T))
-    u.flags.writeable = v.flags.writeable = False
-    return u, v
+_TIEBREAK_TABLES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _tiebreak_table(S: int, G: int, steps: int) -> np.ndarray:
+    """The uniform draws behind the tie-break weights of absolute steps
+    ``0 .. steps - 1`` and perhaps more: row ``t`` holds step ``t``'s charge
+    draws for storages ``0 .. S-1``, then its discharge draws, then its
+    generation draws.  The table is the ``default_rng(0)`` draw of shape
+    ``(rows, 2S + G)``, a prefix of one stream, so a table grown to more rows
+    keeps every row it had.  Read-only and shared per (S, G); it grows by
+    doubling."""
+    table = _TIEBREAK_TABLES.get((S, G))
+    if table is None or table.shape[0] < steps:
+        table = np.random.default_rng(0).uniform(size=(1 << (steps - 1).bit_length(), 2 * S + G))
+        table.flags.writeable = False
+        _TIEBREAK_TABLES[S, G] = table
+    return table
 
 
 def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> LinearProgram:
@@ -132,11 +144,14 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     dyn_vals = np.broadcast_to(np.array([1.0, -dt, dt, -1.0]), (S, T, 4))[terms]
     bal_cols = np.concatenate([grid[:, None], gen.T, dis.T, chg.T], axis=1)
     bal_vals = np.concatenate([np.ones(1 + G + S), np.full(S, -1.0)])
-    u, v = _tiebreak_weights(S, G, T)
+    t0 = instance.grid.start_index
+    if t0 < 0:
+        raise ValueError(f"tie-break weights need a step index >= 0, not {t0}")
+    u = _tiebreak_table(S, G, t0 + T)[t0 : t0 + T].T  # (2S + G, T)
     tiebreak = np.zeros(n)
-    tiebreak[chg] = 1.0 + u[0]
-    tiebreak[dis] = 1.0 + u[1]
-    tiebreak[gen] = 1.0 + v
+    tiebreak[chg] = 1.0 + u[:S]
+    tiebreak[dis] = 1.0 + u[S : 2 * S]
+    tiebreak[gen] = 1.0 + u[2 * S :]
 
     meta = _meta(instance, T, n_scenarios=0)
     meta["columns"] = {"grid": grid, "gen": gen, "charge": chg, "discharge": dis, "soc": soc}

@@ -83,6 +83,22 @@ def _label(quantity: str, device: str, t: int) -> str:
     return f"{quantity}.{device}.t{t}" if device else f"{quantity}.t{t}"
 
 
+def step_draws(instance) -> list[list[float]]:
+    """The tie-break draws of each step of ``instance``'s window, one list
+    per step: charge per storage, discharge per storage, generation per
+    generator.  Absolute step ``t`` draws its ``2S + G`` uniforms one by one
+    from ``default_rng(0)`` after those of every step before it."""
+    S, G = len(instance.storages), len(instance.generators)
+    t0 = instance.grid.start_index
+    rng = np.random.default_rng(0)
+    draws = []
+    for t in range(t0 + instance.n_steps):
+        row = [float(rng.uniform()) for _ in range(2 * S + G)]
+        if t >= t0:
+            draws.append(row)
+    return draws
+
+
 def loop_build_deterministic(instance, forecasts) -> LinearProgram:
     """The deterministic dispatch program appended column by column and row
     by row: the grid draw per step; each generator's output per step; per
@@ -128,13 +144,14 @@ def loop_build_deterministic(instance, forecasts) -> LinearProgram:
         "discharge": grid_of(dis, S),
         "soc": grid_of(soc, S),
     }
-    rng = np.random.default_rng(0)
-    u = rng.uniform(size=(2, S, T))
-    v = rng.uniform(size=(G, T))
+    draws = step_draws(instance)
     tiebreak = np.zeros(len(b.c))
-    tiebreak[columns["charge"]] = 1.0 + u[0]
-    tiebreak[columns["discharge"]] = 1.0 + u[1]
-    tiebreak[columns["gen"]] = 1.0 + v
+    for t in range(T):
+        for si in range(S):
+            tiebreak[chg[si, t]] = 1.0 + draws[t][si]
+            tiebreak[dis[si, t]] = 1.0 + draws[t][S + si]
+        for gi in range(G):
+            tiebreak[gen[gi, t]] = 1.0 + draws[t][2 * S + gi]
     meta = {
         "T": T,
         "dt": dt,
@@ -518,16 +535,14 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
     per storage, then one balance row per scenario and step.  Generation is
     capped below its capacity in every scenario; scenario n's draw is
     priced at ``p_n,t / N``.  The shared columns carry the package's
-    tie-break costs: ``1 + u`` on charge and discharge and ``1 + v`` on
-    generation, drawn in that order from ``default_rng(0)``.  ``meta`` holds
+    tie-break costs, ``1 +`` the draws of ``step_draws``.  ``meta`` holds
     the grid columns as an (N, T) array, the shared columns as (device, T)
     arrays under ``columns``, and the labels.
     """
     N, T = scenarios.n_scenarios, instance.n_steps
     dt = instance.grid.step_hours
-    rng = np.random.default_rng(0)
-    u = rng.uniform(size=(2, len(instance.storages), T))
-    v = rng.uniform(size=(len(instance.generators), T))
+    S = len(instance.storages)
+    draws = step_draws(instance)
     weight = {}
     b = ProgramBuilder()
     grid = [[b.add_col(_label("grid", f"scenario{n}", t), 0.0, np.inf, float(scenarios.price[n, t] / N))
@@ -538,7 +553,7 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
         gen.append([b.add_col(_label("gen", g.id, t), float(g.p_min[t]), min(g.p_max_capacity, caps[t]))
                     for t in range(T)])
         for t in range(T):
-            weight[gen[gi][t]] = 1.0 + v[gi, t]
+            weight[gen[gi][t]] = 1.0 + draws[t][2 * S + gi]
     chg, dis, soc = [], [], []
     for si, s in enumerate(instance.storages):
         c_s, d_s, e_s = [], [], []
@@ -546,8 +561,8 @@ def expand_stochastic(instance, scenarios) -> LinearProgram:
             c_s.append(b.add_col(_label("charge", s.id, t), 0.0, s.p_charge_max))
             d_s.append(b.add_col(_label("discharge", s.id, t), 0.0, s.p_discharge_max))
             e_s.append(b.add_col(_label("soc", s.id, t), s.e_min, s.e_max))
-            weight[c_s[t]] = 1.0 + u[0, si, t]
-            weight[d_s[t]] = 1.0 + u[1, si, t]
+            weight[c_s[t]] = 1.0 + draws[t][si]
+            weight[d_s[t]] = 1.0 + draws[t][S + si]
         for t in range(T):
             entries = [(e_s[t], 1.0), (c_s[t], -dt), (d_s[t], dt)]
             if t:

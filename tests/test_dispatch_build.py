@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vppdispatch.domain import (
     BuildingSeries,
@@ -41,6 +43,19 @@ def _instance(loads, solar=None, price=None, storage=None, gen_cap=100.0):
         storages=stores,
         market=MarketSeries(price, [0.5] * T),
     )
+
+
+def _device_window(S, G, start, T):
+    """A window of T steps from absolute step ``start`` with S storages and
+    G generators, and its realized series as the forecasts."""
+    inst = ProblemInstance(
+        grid=TimeGrid(start, T),
+        buildings=tuple(BuildingSeries(f"b{u}", np.ones(T), np.full(T, 0.5)) for u in range(max(S, G, 1))),
+        generators=tuple(GenerationDevice(f"pv{g}", np.zeros(T), 1.0) for g in range(G)),
+        storages=tuple(StorageDevice(f"bat{s}", 0.0, 4.0, 1.0, 1.0, 1.0) for s in range(S)),
+        market=MarketSeries(np.ones(T), np.ones(T)),
+    )
+    return inst, _forecasts(inst)
 
 
 def _forecasts(instance):
@@ -98,23 +113,48 @@ class TestDeterministicBuild:
         assert np.array_equal(build_stochastic(inst, scen).tiebreak, tb)
 
     def test_tiebreak_draws_shared_per_shape(self, two_building_instance):
-        """Builds of one shape share one read-only draw, the draw that
-        ``default_rng(0)`` makes for that shape."""
-        inst = two_building_instance.slice(0, 24)
-        S, G, T = len(inst.storages), len(inst.generators), 24
-        first = build_module._tiebreak_weights(S, G, T)
-        assert build_module._tiebreak_weights(S, G, T) is first
-        assert build_module._tiebreak_weights(S, G, T - 1) is not first
-        u, v = first
-        assert not u.flags.writeable and not v.flags.writeable
-        rng = np.random.default_rng(0)
-        assert np.array_equal(u, rng.uniform(size=(2, S, T)))
-        assert np.array_equal(v, rng.uniform(size=(G, T)))
+        """Builds of one (storages, generators) shape share one read-only
+        table whose row t is absolute step t's ``default_rng(0)`` draws,
+        whatever the table's length; growing it keeps every row."""
+        inst = two_building_instance.slice(5, 24)
+        S, G = len(inst.storages), len(inst.generators)
+        first = build_module._tiebreak_table(S, G, 29)
+        assert build_module._tiebreak_table(S, G, 20) is first
+        assert not first.flags.writeable
+        rows = first.shape[0]
+        assert rows >= 29 and np.array_equal(first, np.random.default_rng(0).uniform(size=(rows, 2 * S + G)))
+        grown = build_module._tiebreak_table(S, G, rows + 1)
+        assert grown.shape[0] == 2 * rows and np.array_equal(grown[:rows], first)
+        assert build_module._tiebreak_table(S, G - 1, 29) is not grown
         lp = build_deterministic(inst, _forecasts(inst))
         cols = lp.meta["columns"]
-        assert np.array_equal(lp.tiebreak[cols["charge"]], 1.0 + u[0])
-        assert np.array_equal(lp.tiebreak[cols["discharge"]], 1.0 + u[1])
-        assert np.array_equal(lp.tiebreak[cols["gen"]], 1.0 + v)
+        u = first[5:29].T
+        assert np.array_equal(lp.tiebreak[cols["charge"]], 1.0 + u[:S])
+        assert np.array_equal(lp.tiebreak[cols["discharge"]], 1.0 + u[S : 2 * S])
+        assert np.array_equal(lp.tiebreak[cols["gen"]], 1.0 + u[2 * S :])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        S=st.integers(0, 3), G=st.integers(0, 3), start=st.integers(0, 3000), T=st.integers(1, 60),
+        shift=st.integers(-59, 59), other_T=st.integers(1, 60),
+    )
+    def test_shared_steps_share_tiebreak_weights(self, S, G, start, T, shift, other_T):
+        """Two windows that share absolute steps give every shared
+        (quantity, device, step) the same weight bit for bit, however far
+        out the windows sit; the weights of one program are generic."""
+        other = max(start + shift, 0)
+        table = build_module._tiebreak_table(S, G, 1).copy()
+        one, two = (build_deterministic(*_device_window(S, G, t0, steps)) for t0, steps in ((start, T), (other, other_T)))
+        shared = np.arange(max(start, other), min(start + T, other + other_T))
+        for q in ("charge", "discharge", "gen"):
+            a = one.tiebreak[one.meta["columns"][q][:, shared - start]]
+            b = two.tiebreak[two.meta["columns"][q][:, shared - other]]
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), q
+        for lp in (one, two):
+            weighted = lp.tiebreak[lp.tiebreak != 0.0]
+            assert weighted.size == (2 * S + G) * lp.meta["T"] and np.unique(weighted).size == weighted.size
+        grown = build_module._tiebreak_table(S, G, 1)
+        assert not grown.flags.writeable and np.array_equal(grown[: table.shape[0]], table)
 
     def test_horizon_mismatch_rejected(self):
         inst = _instance([1.0, 2.0])
