@@ -11,10 +11,16 @@ so behaviour differs only along the intended axes (scenarios on/off,
 re-plan interval, update scheme).
 
 Each re-plan starts the simplex from the previous re-plan's optimal basis,
-shifted by the steps between the two.  A re-plan starts cold, from the
-solver's slack basis where every row logical is basic, when that basis is
-unusable or the two plans share no step, and after a fallback the next
-re-plan starts cold.
+shifted by the steps between the two, and with it the inverse of its basis
+matrix, derived from the previous re-plan's final inverse instead of
+inverted afresh.  A re-plan starts cold, from the solver's slack basis
+where every row logical is basic, when that basis is unusable or the two
+plans share no step, and after a fallback the next re-plan starts cold.
+A warm re-plan inverts its basis with ``inv`` when no inverse could be
+carried (steps shifted out with more basic entries than rows, an
+artificial column still basic at the previous optimum, a singular block
+in the derivation) or when the carried one misses the solver's check;
+those re-plans are counted and logged at DEBUG.
 
 An infeasible program never aborts an episode: the step falls back to zero
 action and the incident is counted.  Likewise a fine-tune whose training
@@ -129,6 +135,8 @@ class EpisodeResult:
     finetune_divergences: int = 0  # updates that diverged and kept the old model
     warm_starts: int = 0  # re-plans solved from the previous plan's shifted basis
     cold_starts: int = 0  # re-plans solved cold, from the solver's slack basis
+    inverse_refusals: int = 0  # warm starts that inverted their basis: no carried inverse, or it missed the check
+    phase_pivots: tuple[int, int, int] = (0, 0, 0)  # pivots of simplex phases 1, 2 and 3, summed over re-plans
     sigma_skips: int = 0  # series left out of a sigma estimate for want of two windows
 
 
@@ -444,7 +452,8 @@ def run_episode(
     plan_t0 = 0
     plan_forecasts: Forecasts | None = None
     last_lp, last_basis = None, None  # the last optimal program and its basis
-    warm_starts = 0
+    warm_starts = inverse_refusals = 0
+    phase_pivots = np.zeros(3, dtype=np.int64)
     lp_fallbacks = 0
     dispatch_seconds: list[float] = []
     fine_tune_steps: list[int] = []
@@ -471,9 +480,15 @@ def run_episode(
             else:
                 lp = build_deterministic(lp_inst, forecasts)
             start = None if last_basis is None else shift_basis(last_basis, last_lp, lp, t_rel - plan_t0)
+            last_lp = last_basis = None  # let the old inverse go before the solve allocates
             solution = solve_lp(lp, SolveOptions(basis=start))
-            warm_starts += solution.warm_start == "accepted"
-            if solution.warm_start not in (None, "accepted"):
+            phase_pivots += solution.phase_iterations
+            if solution.warm_start == "accepted":
+                warm_starts += 1
+                if solution.start_inverse != "carried":
+                    inverse_refusals += 1
+                    logger.debug("re-plan at step %d inverts its warm basis: %s", t_abs, solution.start_inverse)
+            elif solution.warm_start is not None:
                 logger.debug("re-plan at step %d starts cold: warm basis %s", t_abs, solution.warm_start)
             if solution.status == "optimal":
                 plan = extract_plan(solution, lp)
@@ -482,7 +497,6 @@ def run_episode(
                 last_lp, last_basis = lp, solution.basis
             else:
                 plan = None
-                last_lp, last_basis = None, None
                 lp_fallbacks += 1
                 logger.debug(
                     "re-plan at step %d: LP %s after %d iterations; executing zero action",
@@ -518,6 +532,8 @@ def run_episode(
     )
     result.warm_starts = warm_starts
     result.cold_starts = len(dispatch_seconds) - warm_starts
+    result.inverse_refusals = inverse_refusals
+    result.phase_pivots = tuple(int(p) for p in phase_pivots)
     return result
 
 

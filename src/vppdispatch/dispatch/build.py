@@ -49,12 +49,15 @@ over it, with array arithmetic; nothing is appended one entry at a time.
 The program is validated where it is solved.  Successive
 re-plans of a rolling horizon are the same program one step on, so
 ``shift_basis`` carries the optimal basis of one into a start basis for the
-next by index arithmetic over that layout.
+next by index arithmetic over that layout, and the inverse of its basis
+matrix with it (``_shift_inverse``).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +96,59 @@ def _tiebreak_table(S: int, G: int, steps: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=64)
+def _layout(T: int, G: int, S: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The column of every (quantity, device, step) and the row of every
+    (kind, storage, step) of a program of T steps over G generators and S
+    storages, as ``build_deterministic`` lays it out; read-only and shared
+    by every program of the shape."""
+    steps = np.arange(T)
+    chg = T + G * T + 3 * T * np.arange(S)[:, None] + 3 * steps
+    columns = {"grid": steps, "gen": T + T * np.arange(G)[:, None] + steps, "charge": chg,
+               "discharge": chg + 1, "soc": chg + 2}
+    rows = {"dynamics": T * np.arange(S)[:, None] + steps, "balance": S * T + steps}
+    for index in (*columns.values(), *rows.values()):
+        index.flags.writeable = False
+    return columns, rows
+
+
+class _ShiftMaps(NamedTuple):
+    """Where each column, row and basic entry (columns, then row logicals)
+    of a program lands in the program built ``k`` steps later over the same
+    devices, -1 when shifted out; and, over the later program's rows, which
+    are new and which row of the earlier one each of the others was."""
+
+    col_to: np.ndarray
+    row_to: np.ndarray
+    entry_to: np.ndarray
+    new_row: np.ndarray
+    row_from: np.ndarray  # 0 on a new row
+
+
+@lru_cache(maxsize=8)
+def _shift_maps(T0: int, T1: int, k: int, G: int, S: int) -> _ShiftMaps:
+    """The maps from the program of ``T0`` steps to the one of ``T1`` steps
+    built ``k`` steps later over G generators and S storages; read-only."""
+    (src_cols, src_rows), (dst_cols, dst_rows) = _layout(T0, G, S), _layout(T1, G, S)
+    keep = min(T0 - k, T1)  # steps the two programs share
+    col_to = np.full(T0 * (1 + G + 3 * S), -1, dtype=np.int64)
+    row_to = np.full(T0 * (S + 1), -1, dtype=np.int64)
+    for q in COLUMN_QUANTITIES:
+        col_to[src_cols[q][..., k : k + keep]] = dst_cols[q][..., :keep]
+    for q in ROW_KINDS:
+        row_to[src_rows[q][..., k : k + keep]] = dst_rows[q][..., :keep]
+    kept = row_to >= 0
+    entry_to = np.concatenate([col_to, np.where(kept, T1 * (1 + G + 3 * S) + row_to, -1)])
+    new_row = np.ones(T1 * (S + 1), dtype=bool)
+    new_row[row_to[kept]] = False
+    row_from = np.zeros(new_row.size, dtype=np.int64)
+    row_from[row_to[kept]] = np.flatnonzero(kept)
+    maps = _ShiftMaps(col_to, row_to, entry_to, new_row, row_from)
+    for index in maps:
+        index.flags.writeable = False
+    return maps
+
+
 def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> LinearProgram:
     """Single-scenario program over the instance horizon.
 
@@ -110,13 +166,9 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     T = _check_horizon(instance, forecasts.solar, forecasts.load, forecasts.price)
     G, S = len(instance.generators), len(instance.storages)
     dt = instance.grid.step_hours
-    steps = np.arange(T)
-    grid = steps
-    gen = T + T * np.arange(G)[:, None] + steps
-    chg = T + G * T + 3 * T * np.arange(S)[:, None] + 3 * steps
-    dis, soc = chg + 1, chg + 2
-    dyn = T * np.arange(S)[:, None] + steps
-    balance = S * T + steps
+    columns, rows = _layout(T, G, S)
+    grid, gen, chg, dis, soc = (columns[q] for q in COLUMN_QUANTITIES)
+    dyn, balance = (rows[q] for q in ROW_KINDS)
     n, m = T + G * T + 3 * S * T, S * T + T
 
     c = np.zeros(n)
@@ -154,8 +206,8 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     tiebreak[gen] = 1.0 + u[2 * S :]
 
     meta = _meta(instance, T, n_scenarios=0)
-    meta["columns"] = {"grid": grid, "gen": gen, "charge": chg, "discharge": dis, "soc": soc}
-    meta["rows"] = {"dynamics": dyn, "balance": balance}
+    meta["columns"] = dict(columns)
+    meta["rows"] = dict(rows)
     return LinearProgram(
         c=c,
         a_rows=np.concatenate([np.repeat(dyn.ravel(), 4)[terms.ravel()], np.repeat(balance, bal_cols.shape[1])]),
@@ -238,18 +290,22 @@ def shift_basis(basis: Basis, source: LinearProgram, target: LinearProgram, k: i
     of those logicals as the basis lacks enter it, the first combination
     of them that leaves the basis nonsingular.  The solver rejects a basis
     that still comes out of the wrong size or singular.
+
+    When ``basis`` carries its inverse and the steps shifted out held as
+    many basic entries as rows, the start basis carries the inverse that
+    ``_shift_inverse`` derives from it.
     """
     src, dst = source.meta, target.meta
     T0, T1 = src["T"], dst["T"]
     if not 0 <= k < T0 or (src["generators"], src["storages"]) != (dst["generators"], dst["storages"]):
         return None
     keep = min(T0 - k, T1)  # steps the two programs share
+    maps = _shift_maps(T0, T1, k, len(src["generators"]), len(src["storages"]))
+    col_to, row_to = maps.col_to, maps.row_to
     cols = np.full(target.n_cols, AT_LO, dtype=np.int64)
     rows = np.full(target.n_rows, AT_LO, dtype=np.int64)
-    for q in COLUMN_QUANTITIES:
-        cols[dst["columns"][q][..., :keep]] = basis.cols[src["columns"][q][..., k : k + keep]]
-    for q in ROW_KINDS:
-        rows[dst["rows"][q][..., :keep]] = basis.rows[src["rows"][q][..., k : k + keep]]
+    cols[col_to[col_to >= 0]] = basis.cols[col_to >= 0]
+    rows[row_to[row_to >= 0]] = basis.rows[row_to >= 0]
     cols[dst["columns"]["grid"][keep:]] = BASIC
     cols[dst["columns"]["soc"][:, keep:]] = BASIC
 
@@ -264,7 +320,99 @@ def shift_basis(basis: Basis, source: LinearProgram, target: LinearProgram, k: i
             if pick is choices[-1] or _nonsingular(target, cols, rows):
                 break
             rows[pick] = was
-    return Basis(cols, rows)
+    inverse = None
+    if basis.inverse is not None and short == 0:
+        inverse = _shift_inverse(basis, maps, target, cols, rows)
+    return Basis(cols, rows, inverse)
+
+
+def _shift_inverse(basis: Basis, maps: _ShiftMaps, target: LinearProgram, cols: np.ndarray,
+                   rows: np.ndarray) -> np.ndarray | None:
+    """The inverse of ``target``'s basis matrix at ``cols``/``rows`` from
+    ``basis.inverse``, that of the source program's basis, whose entries
+    and rows land in ``target`` by ``maps``; None when it cannot be
+    derived.
+
+    Let ``M`` be the source inverse, its rows over the basic entries (kept
+    ``K``, shifted out ``C0``) and its columns over the rows (kept ``Rk``,
+    shifted out ``R0``).  The kept entries on the kept rows form the same
+    block in both programs, with the same coefficients, and its inverse is
+    the Schur complement ``M[K,Rk] - M[K,R0] M[C0,R0]^-1 M[C0,Rk]`` (Maros,
+    *Computational Techniques of the Simplex Method*, 2003, ch. 8), which
+    needs ``|C0| = |R0|`` and an inner block that ``inv`` can invert.  When
+    no kept entry reaches a shifted-out row, the source basis matrix is
+    block lower-triangular, ``M[C0,Rk]`` is zero and there is nothing to
+    correct; that is the common case.  The entries that ``target``'s new
+    steps bring have no entry in a kept row, so they border that block
+    lower-triangularly: with ``Y`` and ``Z`` the kept and new entries on
+    the new rows, the new rows of the inverse are ``-Z^-1 Y X`` on the kept
+    rows and ``Z^-1`` on the new ones, ``X`` the kept block's inverse.  The
+    solver checks the result before use."""
+    n1, m1 = target.n_cols, target.n_rows
+    M, new_row = basis.inverse, maps.new_row
+    moved = maps.entry_to[np.flatnonzero(np.concatenate([basis.cols, basis.rows]) == BASIC)]
+    K, C0 = np.flatnonzero(moved >= 0), np.flatnonzero(moved < 0)
+    R0 = np.flatnonzero(maps.row_to < 0)
+    entries = np.flatnonzero(np.concatenate([cols, rows]) == BASIC)
+    if C0.size != R0.size or M.shape != (moved.size, maps.row_to.size) or entries.size != m1:
+        return None
+    pos = np.full(n1 + m1, -1, dtype=np.int64)  # the place of each basic entry of target
+    pos[entries] = np.arange(m1)
+    kept = pos[moved[K]]
+    if np.any(kept < 0):
+        return None
+    entry_from = np.zeros(m1, dtype=np.int64)  # the source entry behind each kept one
+    entry_from[kept] = K
+    added = np.ones(m1, dtype=bool)
+    added[kept] = False
+
+    # the kept block's inverse, in target's places and zero elsewhere
+    out = M.take(maps.row_from, axis=1).take(entry_from, axis=0)
+    out[:, new_row] = 0.0
+    out[added] = 0.0
+    shifted_out = M.take(C0, axis=0)
+    crossing = shifted_out.take(maps.row_from, axis=1)  # M[C0,Rk] in target's places
+    crossing[:, new_row] = 0.0
+    if crossing.any():
+        inner = _block_inverse(shifted_out.take(R0, axis=1))
+        if inner is None:
+            return None
+        left = M.take(R0, axis=1).take(entry_from, axis=0)
+        left[added] = 0.0
+        out -= left @ (inner @ crossing)
+
+    if added.any():
+        # the new entries' rows of the basis matrix, from the triplets and
+        # -1 per basic logical; they have no entry in a kept row
+        logicals = np.flatnonzero(rows == BASIC)
+        r = np.concatenate([target.a_rows, logicals])
+        p = np.concatenate([pos[target.a_cols], pos[n1 + logicals]])
+        v = np.concatenate([target.a_vals, np.full(logicals.size, -1.0)])
+        basic = p >= 0
+        r, p, v = r[basic], p[basic], v[basic]
+        if np.any(added[p] & ~new_row[r]):
+            return None
+        on = new_row[r]
+        border = np.zeros((np.count_nonzero(new_row), m1))
+        np.add.at(border, (np.searchsorted(np.flatnonzero(new_row), r[on]), p[on]), v[on])
+        Zinv = _block_inverse(border[:, added])
+        if Zinv is None:
+            return None
+        border[:, added] = 0.0
+        bottom = -Zinv @ (border @ out)
+        bottom[:, new_row] = Zinv
+        out[added] = bottom
+    return out
+
+
+def _block_inverse(B: np.ndarray) -> np.ndarray | None:
+    """``inv`` of a block of the shifted inverse, or None when ``inv`` finds
+    it singular; the solver's check of the whole inverse catches an
+    inaccurate one."""
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _nonsingular(lp: LinearProgram, cols: np.ndarray, rows: np.ndarray) -> bool:

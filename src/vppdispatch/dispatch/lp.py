@@ -7,7 +7,8 @@ can be mapped back to dispatch series.  An optional secondary cost,
 ``tiebreak``, picks one point among the optima of ``c``: the solver
 minimizes it over the optimal face without moving ``c . x``.  A Basis
 states a simplex basis in the program's own layout: the status of every
-column and of every row's logical.  The MPS writer produces a fixed-layout
+column and of every row's logical, and, when known, the inverse of its
+basis matrix.  The MPS writer produces a fixed-layout
 file any external LP solver can read, for hand cross-checks, labelling a
 dispatch program's columns from its layout.
 """
@@ -71,15 +72,22 @@ class LinearProgram:
 
 def invert_basis(B: np.ndarray) -> np.ndarray | None:
     """The inverse of the basis matrix ``B``, or None when ``B`` is singular:
-    ``inv`` raises, or ``B @ inv(B)`` misses the identity by more than 1e-9
-    in some entry (a condition number would cost an SVD)."""
+    ``inv`` raises, or the inverse fails ``inverts``."""
     try:
         binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:
         return None
-    if not np.abs(B @ binv - np.eye(B.shape[0])).max(initial=0.0) <= 1e-9:  # a NaN fails too
-        return None
-    return binv
+    return binv if inverts(binv, B) else None
+
+
+def inverts(binv: np.ndarray, B: np.ndarray) -> bool:
+    """Whether ``B @ binv`` misses the identity by at most 1e-9 in every
+    entry (a condition number would cost an SVD); a NaN fails."""
+    if binv.shape != B.shape:
+        return False
+    residual = B @ binv
+    residual.flat[:: B.shape[0] + 1] -= 1.0
+    return np.abs(residual, out=residual).max(initial=0.0) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,10 +95,16 @@ class Basis:
     """Status codes (``AT_LO``, ``AT_UP``, ``FREE``, ``BASIC``) of every
     column and of every row logical, the activity ``r_i = A_i . x`` that
     carries row i's bounds.  A basis of a program with m rows has m basic
-    entries."""
+    entries.
+
+    ``inverse``, when known, is the inverse of the basis matrix: the
+    columns of ``[A  -I]`` at the basic entries, columns before row
+    logicals and each in index order.  Its rows follow those entries and
+    its columns the program's rows.  The solver checks it before use."""
 
     cols: np.ndarray
     rows: np.ndarray
+    inverse: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,9 @@ class LPSolution:
     # None when no start basis was given; "accepted", or why the start basis
     # was rejected for a cold start from the slack basis ("wrong size", "singular")
     warm_start: str | None = None
+    # how an accepted start basis was inverted: "carried", its own inverse
+    # passed the check; else why inv ran ("none carried", "inaccurate")
+    start_inverse: str | None = None
 
 
 # the devices along the first axis of each per-device quantity of a layout

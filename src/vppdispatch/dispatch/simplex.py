@@ -27,7 +27,18 @@ else the slack basis, where every row logical is basic and the basis
 matrix is ``-I``; a cold start is a start from the slack basis.  A given
 basis is set aside for the slack basis when it does not have one basic
 entry per row, or when its basis matrix is singular (``inv`` raises, or
-``B B^-1`` misses the identity by more than 1e-9).  The nonbasic columns
+``B B^-1`` misses the identity by more than 1e-9).  A given basis may
+carry the inverse of its basis matrix (``Basis.inverse``), such as the one
+``build.shift_basis`` derives from the previous re-plan's final inverse:
+it replaces ``inv`` when it passes that same ``B B^-1`` check, which is
+what bounds the rounding drift an inverse carries from re-plan to
+re-plan.  When the basis carries none, or the carried one misses the
+check, ``inv`` runs as for any given basis, and ``LPSolution.start_inverse``
+says which happened.  An optimal solution hands on its final inverse with
+its final basis, unless phase 1 left its artificial column basic.  Across
+presolve the inverse's rows are reordered and those of substituted
+columns scaled, since such a column is ``-coef`` times the logical of its
+row that stands for it.  The nonbasic columns
 sit at their bounds and the basic values follow; those outside their
 bounds are clipped onto them, and a single artificial column
 ``g = B (x_B - clip(x_B))``, bounded to [0, 1] and nonbasic at 1, carries
@@ -68,7 +79,7 @@ logical status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, isfinite
 
 import numpy as np
@@ -77,7 +88,7 @@ from .lp import AT_LO as _AT_LO
 from .lp import AT_UP as _AT_UP
 from .lp import BASIC as _BASIC
 from .lp import FREE as _FREE
-from .lp import Basis, LinearProgram, LPSolution, invert_basis
+from .lp import Basis, LinearProgram, LPSolution, invert_basis, inverts
 
 _REFRESH = 64  # refactorize the basis inverse every this many pivots
 _STALL = 50  # degenerate pivots in a row before Bland's rule picks the entering column
@@ -246,25 +257,39 @@ class _Outcome:
     status: np.ndarray | None  # final status of the columns and the row logicals, when optimal
     phases: tuple[int, int, int]  # pivots of phases 1, 2 and 3
     warm: str | None  # LPSolution.warm_start
+    start_inverse: str | None = None  # LPSolution.start_inverse
+    # the final basis inverse when optimal with no artificial basic; row p
+    # belongs to the basic entry basic[p]
+    binv: np.ndarray | None = None
+    basic: np.ndarray | None = None
 
 
-def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, start: np.ndarray, tol: float):
+def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, start: np.ndarray, tol: float,
+           carried: np.ndarray | None = None):
     """The core over the basis of ``start``, a status over the columns of
     ``Afull``, or the reason it cannot be used: it has not one basic entry
     per row, or its basis matrix is singular.  Returns the outcome
-    (``LPSolution.warm_start``), the core or None, and the residual scale of
-    phase 1.  Nonbasic entries without a finite bound to sit at move to one
-    that is, or to zero if free.  Basic values outside their bounds are
-    clipped onto them, and the artificial column ``g = B (x_B - clip(x_B))``,
-    nonbasic at its upper bound 1, carries the difference; its phase-1 cost
-    is its largest entry, so the phase-1 objective is in row units."""
+    (``LPSolution.warm_start``), the core or None, the residual scale of
+    phase 1 and how the basis was inverted (``LPSolution.start_inverse``).
+    ``carried``, an inverse of the basis matrix with its rows in the order
+    of the basic entries, is used if it passes ``inverts``; otherwise
+    ``invert_basis`` inverts the basis matrix.  Nonbasic entries without a
+    finite bound to sit at move to one that is, or to zero if free.  Basic
+    values outside their bounds are clipped onto them, and the artificial
+    column ``g = B (x_B - clip(x_B))``, nonbasic at its upper bound 1,
+    carries the difference; its phase-1 cost is its largest entry, so the
+    phase-1 objective is in row units."""
     m, n_all = Afull.shape
     if start.shape != (n_all,) or np.count_nonzero(start == _BASIC) != m:
-        return "wrong size", None, 0.0
+        return "wrong size", None, 0.0, None
     basis = np.flatnonzero(start == _BASIC)
-    binv = invert_basis(Afull[:, basis])
+    B = Afull[:, basis]
+    if carried is not None and inverts(carried, B):
+        binv, how = carried, "carried"
+    else:
+        binv, how = invert_basis(B), "none carried" if carried is None else "inaccurate"
     if binv is None:
-        return "singular", None, 0.0
+        return "singular", None, 0.0, None
     finite_lo, finite_up = np.isfinite(lo), np.isfinite(up)
     kept = (start == _BASIC) | ((start == _AT_LO) & finite_lo) | ((start == _AT_UP) & finite_up)
     status = np.where(kept, start, np.where(finite_lo, _AT_LO, np.where(finite_up, _AT_UP, _FREE))).astype(np.int64)
@@ -273,8 +298,9 @@ def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, sta
     xb = binv @ (b - Afull @ _nonbasic_values(lo, up, status))
     excess = xb - np.minimum(np.maximum(xb, lo[basis]), up[basis])
     if not np.any(np.abs(excess) > tol):
-        return "accepted", _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol, binv), 0.0
-    g = Afull[:, basis] @ excess
+        core = _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol, binv)
+        return "accepted", core, 0.0, how
+    g = B @ excess
     scale = float(np.abs(g).max())
     c1 = np.zeros(n_all + 1)
     c1[-1] = scale
@@ -282,7 +308,7 @@ def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, sta
         np.concatenate([Afull, g[:, None]], axis=1), b, c1, np.append(lo, 0.0), np.append(up, 1.0),
         basis, np.append(status, _AT_UP), tol, binv,
     )
-    return "accepted", core, scale
+    return "accepted", core, scale, how
 
 
 def _solve_bounded(
@@ -295,11 +321,14 @@ def _solve_bounded(
     options: SolveOptions,
     tiebreak: np.ndarray | None = None,
     start: np.ndarray | None = None,
+    start_inverse: np.ndarray | None = None,
 ) -> _Outcome:
     """Two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up, col_lo <= x <= col_up,
     then, given ``tiebreak``, phase 3: min tiebreak.x over the optima of c.
     ``start`` is a status over the columns and then the row logicals; if it
-    is usable, phase 1 starts from its basis, otherwise from the slack basis."""
+    is usable, phase 1 starts from its basis, otherwise from the slack basis.
+    ``start_inverse`` is an inverse of its basis matrix to try first, with
+    rows in the order of the basic entries."""
     m, n = A.shape
     tol = options.tolerance
 
@@ -320,19 +349,19 @@ def _solve_bounded(
     lo = np.concatenate([col_lo, row_lo])
     up = np.concatenate([col_up, row_up])
 
-    warm, core = None, None
+    warm, core, how = None, None, None
     if start is not None:
-        warm, core, scale = _start(Afull, c, lo, up, start, tol)
+        warm, core, scale, how = _start(Afull, c, lo, up, start, tol, start_inverse)
     if core is None:  # the slack basis, -I, is never rejected
-        _, core, scale = _start(Afull, c, lo, up, np.repeat([_AT_LO, _BASIC], [n, m]), tol)
+        _, core, scale, _ = _start(Afull, c, lo, up, np.repeat([_AT_LO, _BASIC], [n, m]), tol)
     phases = [0, 0, 0]
     if core.A.shape[1] > n + m:
         # phase 1: minimize the artificial
         state, phases[0] = core.iterate(options.max_iterations)
         if state == "iteration_limit":
-            return _Outcome(state, core.full_x()[:n], None, tuple(phases), warm)
+            return _Outcome(state, core.full_x()[:n], None, tuple(phases), warm, how)
         if float(core.c @ core.full_x()) > tol * max(1.0, scale):
-            return _Outcome("infeasible", core.full_x()[:n], None, tuple(phases), warm)
+            return _Outcome("infeasible", core.full_x()[:n], None, tuple(phases), warm, how)
         # keep the artificial pinned at zero through phases 2 and 3
         core.lo[n + m :] = 0.0
         core.up[n + m :] = 0.0
@@ -352,17 +381,20 @@ def _solve_bounded(
         core.c[:n] = tiebreak
         _, phases[2] = core.iterate(options.max_iterations - phases[0] - phases[1])
 
-    final = None
+    final, binv = None, None
     if state == "optimal":
         # the artificial, if still basic (at zero), hands its place to the
         # nonbasic row logical with the largest entry in its row of the
-        # inverse, which enters at its current value
+        # inverse, which enters at its current value; the inverse is then
+        # that of another basis and is not handed on
         final = core.status[: n + m].copy()
         left = np.flatnonzero(core.basis >= n + m)
         if left.size:
             logicals = np.flatnonzero(final[n:] != _BASIC)
             final[n + logicals[np.abs(core.binv[left[0], logicals]).argmax()]] = _BASIC
-    return _Outcome(state, core.full_x()[:n], final, tuple(phases), warm)
+        else:
+            binv = core.binv
+    return _Outcome(state, core.full_x()[:n], final, tuple(phases), warm, how, binv, core.basis)
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +412,13 @@ class _Eliminations:
     rest_rows: np.ndarray  # triplets of the eliminated rows, minus the eliminated entry
     rest_cols: np.ndarray
     rest_vals: np.ndarray
+    # the reduced entry and scale of every entry of the program, once known
+    _entry_map: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def none(cls) -> "_Eliminations":
+        z = np.zeros(0, dtype=np.int64)
+        return cls(z, np.zeros(0), np.zeros(0), z, z, z, np.zeros(0))
 
     def recover(self, x: np.ndarray, m: int) -> None:
         """Fill the eliminated columns of x from their defining equalities."""
@@ -401,11 +440,33 @@ class _Eliminations:
         )
         return np.concatenate([basis.cols[kept_cols], rows[kept_rows]])
 
-    def expand_basis(self, status: np.ndarray, n: int, m: int, kept_cols: np.ndarray,
-                     kept_rows: np.ndarray) -> Basis:
+    def reduce_inverse(self, basis: Basis, kept_cols: np.ndarray, kept_rows: np.ndarray) -> np.ndarray | None:
+        """The inverse of the reduced basis matrix from ``basis.inverse``, its
+        rows in the order of the reduced basic entries; None when there is
+        none to reduce, it is not square over the rows, or the two bases do
+        not match entry for entry."""
+        if basis.inverse is None or basis.inverse.shape != (basis.rows.size,) * 2:
+            return None
+        mapped = self._basic_entries(basis.cols, basis.rows, kept_cols, kept_rows)
+        if mapped is None:
+            return None
+        reduced, scale = mapped
+        order = np.argsort(reduced)
+        if np.any(np.diff(reduced[order]) == 0):
+            return None
+        binv = basis.inverse.take(order, axis=0)
+        flip = np.flatnonzero(scale[order] != 1.0)
+        binv[flip] *= scale[order[flip], None]
+        return binv
+
+    def expand_basis(self, status: np.ndarray, n: int, m: int, kept_cols: np.ndarray, kept_rows: np.ndarray,
+                     binv: np.ndarray | None = None, basic: np.ndarray | None = None) -> Basis:
         """The inverse of ``reduce_basis``: an eliminated column takes its
         row logical's status, and the logical of its equality row sits at
-        its right-hand side.  The logical of a dropped empty row is basic."""
+        its right-hand side.  The logical of a dropped empty row is basic.
+        ``binv``, the inverse of the reduced basis matrix whose row ``p``
+        belongs to the reduced entry ``basic[p]``, becomes the basis's
+        ``inverse``."""
         cols = np.full(n, _AT_LO, dtype=np.int64)
         cols[kept_cols] = status[: kept_cols.size]
         rows = np.full(m, _BASIC, dtype=np.int64)
@@ -413,7 +474,42 @@ class _Eliminations:
         logical = rows[self.rows]
         cols[self.cols] = np.where(logical == _BASIC, _BASIC, _swap_bounds(logical, self.coefs > 0))
         rows[self.rows] = _AT_LO
-        return Basis(cols, rows)
+        inverse = None
+        mapped = None if binv is None else self._basic_entries(cols, rows, kept_cols, kept_rows)
+        if mapped is not None:
+            reduced, scale = mapped
+            place = np.empty(kept_cols.size + kept_rows.size, dtype=np.int64)
+            place[basic] = np.arange(basic.size)
+            inverse = binv.take(place[reduced], axis=0)
+            flip = np.flatnonzero(scale != 1.0)
+            inverse[flip] /= scale[flip, None]
+        return Basis(cols, rows, inverse)
+
+    def _basic_entries(self, cols: np.ndarray, rows: np.ndarray, kept_cols: np.ndarray, kept_rows: np.ndarray):
+        """How a basis of the program and the matching basis of the reduced
+        program correspond, for their inverses: for each basic entry of the
+        program (columns, then row logicals, in index order), the reduced
+        entry that stands for it and the scale between their columns.  A
+        substituted column ``j`` of row ``i``, ``coef e_i``, is ``-coef``
+        times the logical of row ``i``; every other basic entry is its own.
+        None when a row was dropped or the basis has not one basic entry per
+        row."""
+        n, m = cols.size, rows.size
+        if kept_rows.size != m:
+            return None
+        if self._entry_map is None:
+            reduced = np.full(n + m, -1, dtype=np.int64)
+            reduced[kept_cols] = np.arange(kept_cols.size)
+            reduced[n:] = kept_cols.size + np.arange(m)
+            reduced[self.cols] = kept_cols.size + self.rows
+            scale = np.ones(n + m)
+            scale[self.cols] = -self.coefs
+            self._entry_map = reduced, scale
+        reduced, scale = self._entry_map
+        entries = np.flatnonzero(np.concatenate([cols, rows]) == _BASIC)
+        if entries.size != m:
+            return None
+        return reduced[entries], scale[entries]
 
 
 def _swap_bounds(status: np.ndarray, where: np.ndarray) -> np.ndarray:
@@ -484,8 +580,7 @@ def _presolve(lp: LinearProgram, tol: float):
         )
         rows, cols, vals = rows[~dropped], cols[~dropped], vals[~dropped]
     else:
-        z = np.zeros(0, dtype=np.int64)
-        eliminations = _Eliminations(z, np.zeros(0), np.zeros(0), z, z, z, np.zeros(0))
+        eliminations = _Eliminations.none()
 
     # rows left without entries drop out once zero activity is checked
     # against their bounds
@@ -523,8 +618,11 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
 
     ``options.basis`` warm-starts the solve from a basis in the program's
     layout; a basis of the wrong size or a singular one is set aside for the
-    slack basis of a cold start, and ``warm_start`` says which happened.  An
-    optimal solution carries its final basis in the same layout.
+    slack basis of a cold start, and ``warm_start`` says which happened.
+    The start basis's ``inverse`` replaces ``inv`` of its basis matrix when
+    it passes the check, and ``start_inverse`` says whether it did.  An
+    optimal solution carries its final basis in the same layout, with the
+    final inverse unless an artificial column was still basic.
     """
     options = options or SolveOptions()
     lp.validate()
@@ -538,28 +636,28 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
         if reduced is None:
             return LPSolution("infeasible", np.zeros(n), np.nan, 0)
         A, row_lo, row_up, kept_cols, kept_rows, costs, eliminations = reduced
-        start = eliminations.reduce_basis(given, kept_cols, kept_rows) if fits else None
-        out = _solve_bounded(
-            A, costs[0], lp.col_lo[kept_cols], lp.col_up[kept_cols], row_lo, row_up, options, *costs[1:],
-            start=start,
-        )
-        x = np.zeros(n)
-        x[kept_cols] = out.x
-        eliminations.recover(x, m)
-        basis = None
-        if out.status is not None:
-            basis = eliminations.expand_basis(out.status, n, m, kept_cols, kept_rows)
     else:
-        start = np.concatenate([given.cols, given.rows]) if fits else None
-        out = _solve_bounded(
-            lp.dense(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options, lp.tiebreak, start=start,
-        )
-        x = out.x
-        basis = None if out.status is None else Basis(out.status[:n], out.status[n:])
+        A, row_lo, row_up = lp.dense(), lp.row_lo, lp.row_up
+        kept_cols, kept_rows, eliminations = np.arange(n), np.arange(m), _Eliminations.none()
+        costs = [cost for cost in (lp.c, lp.tiebreak) if cost is not None]
+    start, start_inverse = None, None
+    if fits:
+        start = eliminations.reduce_basis(given, kept_cols, kept_rows)
+        start_inverse = eliminations.reduce_inverse(given, kept_cols, kept_rows)
+    out = _solve_bounded(
+        A, costs[0], lp.col_lo[kept_cols], lp.col_up[kept_cols], row_lo, row_up, options, *costs[1:],
+        start=start, start_inverse=start_inverse,
+    )
+    x = np.zeros(n)
+    x[kept_cols] = out.x
+    eliminations.recover(x, m)
+    basis = None
+    if out.status is not None:
+        basis = eliminations.expand_basis(out.status, n, m, kept_cols, kept_rows, out.binv, out.basic)
 
     if out.state == "optimal":
         # tidy roundoff against the declared bounds
         x = np.minimum(np.maximum(x, lp.col_lo), lp.col_up)
     objective = float(lp.c @ x) if out.state in ("optimal", "iteration_limit") else np.nan
     warm = out.warm if fits or given is None else "wrong size"
-    return LPSolution(out.state, x, objective, sum(out.phases), basis, out.phases, warm)
+    return LPSolution(out.state, x, objective, sum(out.phases), basis, out.phases, warm, out.start_inverse)

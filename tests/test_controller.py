@@ -14,7 +14,8 @@ from vppdispatch.controller import (
     run_sofo,
 )
 from vppdispatch import controller
-from vppdispatch.dispatch import Basis, LPSolution, build_deterministic, extract_plan, solve_lp
+from vppdispatch.dispatch import Basis, LPSolution, build_deterministic, extract_plan, shift_basis, solve_lp
+from vppdispatch.dispatch.lp import BASIC
 from vppdispatch.forecast import TrainConfig, UpdateScheme
 from vppdispatch.scenario import Forecasts
 from vppdispatch.simulator import PerturbationConfig
@@ -208,6 +209,47 @@ class TestWarmStartedEpisodes:
         for cost in ("emission", "price", "grid"):
             a, b = getattr(warm.costs, cost), getattr(cold.costs, cost)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), cost
+
+    @pytest.mark.parametrize("name", ["clairvoyant_rolling", "sofo_wide", "sofo_drift"])
+    def test_carried_inverses_match_inv(self, name, monkeypatch):
+        """Every start basis that carries an inverse carries ``np.linalg.inv``
+        of its basis matrix to 1e-10; the episode counts the warm starts
+        that inverted their basis and sums the pivots of each phase."""
+        inst, split, cfg, perturb = self._workloads()[name]
+        solutions, carried = [], 0
+
+        def check_inverse(lp, options=None):
+            start = options.basis
+            if start is not None and start.inverse is not None:
+                B = np.concatenate([lp.dense()[:, start.cols == BASIC], -np.eye(lp.n_rows)[:, start.rows == BASIC]], axis=1)
+                assert np.abs(start.inverse - np.linalg.inv(B)).max() <= 1e-10
+            solutions.append(solve_lp(lp, options))
+            return solutions[-1]
+
+        monkeypatch.setattr(controller, "solve_lp", check_inverse)
+        ep = controller.run_episode(inst, split, cfg, name, perturb)
+        accepted = [s for s in solutions if s.warm_start == "accepted"]
+        carried = sum(s.start_inverse == "carried" for s in accepted)
+        assert ep.warm_starts == len(accepted) and ep.inverse_refusals == len(accepted) - carried
+        assert carried >= 0.5 * len(accepted)
+        assert ep.phase_pivots == tuple(int(sum(p)) for p in zip(*(s.phase_iterations for s in solutions)))
+        assert ep.phase_pivots[1] > 0 and ep.phase_pivots[2] > 0
+
+    def test_refused_inverse_is_counted_and_logged(self, caplog, monkeypatch):
+        inst = _small_instance(days=2)
+        cfg = replace(ORACLE_CFG, horizon_T=6, T_rl=1)
+
+        def without_inverse(*args):
+            basis = shift_basis(*args)
+            return None if basis is None else Basis(basis.cols, basis.rows)
+
+        monkeypatch.setattr(controller, "shift_basis", without_inverse)
+        with caplog.at_level(logging.DEBUG, logger="vppdispatch.controller"):
+            ep = run_sofo(inst, Split(0, 0), cfg)
+        assert (ep.warm_starts, ep.inverse_refusals) == (47, 47)
+        logged = [r for r in caplog.records if r.name == "vppdispatch.controller"]
+        assert len(logged) == 47 and all(r.levelno == logging.DEBUG for r in logged)
+        assert logged[0].getMessage() == "re-plan at step 1 inverts its warm basis: none carried"
 
     def test_day_ahead_replans_start_cold(self, monkeypatch):
         inst = _small_instance(days=3)

@@ -472,6 +472,116 @@ class TestWarmStart:
         assert infeasible_cold_starts >= 5  # phase 1 from the slack basis ran
 
 
+def basis_matrix(lp, basis):
+    """The columns of ``[A  -I]`` at the basic entries of ``basis``, columns
+    before row logicals."""
+    return np.concatenate([lp.dense()[:, basis.cols == BASIC], -np.eye(lp.n_rows)[:, basis.rows == BASIC]], axis=1)
+
+
+def assert_inverse(lp, basis):
+    """``basis.inverse`` is ``np.linalg.inv`` of its basis matrix to 1e-10."""
+    assert basis.inverse is not None
+    assert np.abs(basis.inverse - np.linalg.inv(basis_matrix(lp, basis))).max() <= 1e-10
+
+
+class TestCarriedInverse:
+    """The basis inverse an optimal solution hands on and ``shift_basis``
+    carries to the next program, against ``np.linalg.inv``; and each path on
+    which none is carried or the carried one is refused, which must reach
+    the result of the same start basis inverted by ``inv``."""
+
+    @staticmethod
+    def _as_without_inverse(lp, start, got):
+        ref = solve_lp(lp, SolveOptions(basis=Basis(start.cols, start.rows)))
+        assert ref.start_inverse == "none carried"
+        assert got.status == ref.status and got.phase_iterations == ref.phase_iterations
+        assert np.array_equal(got.x.view(np.int64), ref.x.view(np.int64))
+        assert np.array_equal(got.basis.cols, ref.basis.cols) and np.array_equal(got.basis.rows, ref.basis.rows)
+
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_final_basis_carries_its_inverse(self, presolve):
+        lp, start = shifted_start(48, initial_soc=0.5)
+        for options in (SolveOptions(presolve=presolve), SolveOptions(presolve=presolve, basis=start)):
+            solution = solve_lp(lp, options)
+            assert solution.status == "optimal" and solution.phase_iterations[0] > 0
+            assert_inverse(lp, solution.basis)
+
+    @pytest.mark.parametrize("k, T, later_T, at", [
+        (1, 48, 48, 7), (3, 48, 48, 7), (1, 24, 23, 7), (2, 24, 20, 7), (1, 24, 20, 14), (1, 48, 30, 5),
+    ])
+    def test_shifted_inverse_is_the_inverse(self, k, T, later_T, at):
+        """Steps shifted out, new steps appended or the horizon shrinking;
+        the last two drop steps at the end whose rows kept entries reach,
+        so the Schur complement has a correction to make."""
+        source = dispatch_lp(T, start=at - k)
+        target = dispatch_lp(later_T, start=at)
+        start = shift_basis(solve_lp(source).basis, source, target, k)
+        assert_inverse(target, start)
+        got = solve_lp(target, SolveOptions(basis=start))
+        assert got.warm_start == "accepted" and got.start_inverse == "carried" and got.status == "optimal"
+
+    def test_crossing_soc_carries_none(self):
+        """A basic SOC column of the shifted-out step crosses into a kept row:
+        the step held more basic entries than rows."""
+        source = dispatch_lp(48, n_scenarios=300, start=7)
+        target = dispatch_lp(48, n_scenarios=300, start=8)
+        basis = solve_lp(source).basis
+        first = np.concatenate([source.meta["columns"][q][..., 0].ravel() for q in ("grid", "gen", "charge", "discharge", "soc")])
+        rows = np.concatenate([source.meta["rows"][q][..., 0].ravel() for q in ("dynamics", "balance")])
+        assert basis.inverse is not None
+        assert np.count_nonzero(basis.cols[first] == BASIC) + np.count_nonzero(basis.rows[rows] == BASIC) > rows.size
+        start = shift_basis(basis, source, target, 1)
+        assert start.inverse is None and basic_count(start) == target.n_rows
+        got = solve_lp(target, SolveOptions(basis=start))
+        assert got.warm_start == "accepted" and got.start_inverse == "none carried"
+        self._as_without_inverse(target, start, got)
+
+    def test_artificial_basic_at_the_end_carries_none(self):
+        """Phase 1 ends with its artificial column basic at zero, so the final
+        basis names a row logical in its place and hands on no inverse."""
+        lp = _build(np.array([-1.0, 1.0]), np.array([[1.0, -1.0], [1.0, 1.0]]), np.array([0.0, 2.0]),
+                    np.array([0.0, 2.0]), np.zeros(2), np.ones(2))
+        cold = solve_lp(lp)
+        assert cold.status == "optimal" and cold.phase_iterations[0] > 0
+        assert cold.basis.inverse is None and basic_count(cold.basis) == lp.n_rows
+        got = solve_lp(lp, SolveOptions(basis=cold.basis))
+        assert got.warm_start == "accepted" and got.start_inverse == "none carried"
+        assert np.array_equal(got.x, cold.x)
+
+    @pytest.mark.parametrize("wrong, outcome", [("drifted", "inaccurate"), ("shape", "none carried")])
+    def test_inaccurate_inverse_is_refused(self, wrong, outcome):
+        """An inverse 1e-8 off in every entry misses the check; one of the
+        wrong shape is not taken."""
+        lp, start = shifted_start(48, initial_soc=0.5)
+        inverse = start.inverse + 1e-8 if wrong == "drifted" else start.inverse[:-1]
+        start = Basis(start.cols, start.rows, inverse)
+        got = solve_lp(lp, SolveOptions(basis=start))
+        assert got.warm_start == "accepted" and got.start_inverse == outcome
+        self._as_without_inverse(lp, start, got)
+
+    def test_singular_inner_block_carries_none(self):
+        """A shrinking horizon drops steps at the end whose rows kept entries
+        reach, so the Schur complement needs its inner block: zeroed, ``inv``
+        cannot invert it."""
+        source, target = dispatch_lp(24, start=13), dispatch_lp(20, start=14)
+        basis = solve_lp(source).basis
+        assert_inverse(target, shift_basis(basis, source, target, 1))
+        status = np.concatenate([basis.cols, basis.rows])
+        kept = np.zeros(status.size, dtype=bool)
+        for q in ("grid", "gen", "charge", "discharge", "soc"):
+            kept[source.meta["columns"][q][..., 1:21]] = True
+        rows = np.concatenate([source.meta["rows"][q][..., 1:21].ravel() for q in ("dynamics", "balance")])
+        kept[source.n_cols + rows] = True
+        dropped_rows = np.setdiff1d(np.arange(source.n_rows), rows)
+        inverse = basis.inverse.copy()
+        inverse[np.ix_(np.flatnonzero(~kept[status == BASIC]), dropped_rows)] = 0.0
+        start = shift_basis(Basis(basis.cols, basis.rows, inverse), source, target, 1)
+        assert start.inverse is None
+        got = solve_lp(target, SolveOptions(basis=start))
+        assert got.warm_start == "accepted" and got.start_inverse == "none carried"
+        self._as_without_inverse(target, start, got)
+
+
 def _highs(lp, cost, cap=None):
     """HiGHS through ``scipy.optimize.linprog`` on ``min cost.x`` over the
     program's rows and bounds, plus ``cap[0].x <= cap[1]`` if given."""
