@@ -16,12 +16,12 @@ and sigma of each bundle; the wall-clock fields are left out.  Each tree
 also runs its own ``scripts/run_drift_benchmark.py``: every cell of its
 CSV reports is a field, and each SVG plot is one field of its bytes.
 ``timings.txt`` (wall clock) and ``run_config.json`` (which names the
-output directory) are left out.  None of these runs starts a solve from a
-slack basis that violates rows, so each tree also solves two such programs
-cold, which runs phase 1: the 48-step deterministic and the 50-scenario
-stochastic dispatch program of an 8-day district whose batteries start at
-half their capacity.  Their fields are ``x``, the objective, the pivots of
-each phase and the final basis.
+output directory) are left out.  Each episode's first re-plan starts from
+the slack basis, which violates the balance rows, so it runs phase 1.  Each
+tree also solves two programs cold, each through a phase 1 of its own: the
+48-step deterministic and the 50-scenario stochastic dispatch program of an
+8-day district whose batteries start at half their capacity.  Their fields
+are ``x``, the objective, the pivots of each phase and the final basis.
 
 One line per field says ``bitwise`` or gives the maximum absolute and
 relative difference.  The script exits 1 when a field that both trees

@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex with Dantzig pricing, plus presolve.
+"""Bounded-variable primal simplex with Dantzig pricing.
 
 The solver keeps an explicit dense basis inverse (adequate at the dispatch
 program sizes, which do not grow with the scenario count).  It prices by
@@ -31,21 +31,18 @@ entry per row, or when its basis matrix is singular (``inv`` raises, or
 carry the inverse of its basis matrix (``Basis.inverse``), such as the one
 ``build.shift_basis`` derives from the previous re-plan's final inverse:
 it replaces ``inv`` when it passes that same ``B B^-1`` check, which is
-what bounds the rounding drift an inverse carries from re-plan to
-re-plan.  When the basis carries none, or the carried one misses the
-check, ``inv`` runs as for any given basis, and ``LPSolution.start_inverse``
-says which happened.  An optimal solution hands on its final inverse with
-its final basis, unless phase 1 left its artificial column basic.  Across
-presolve the inverse's rows are reordered and those of substituted
-columns scaled, since such a column is ``-coef`` times the logical of its
-row that stands for it.  The nonbasic columns
-sit at their bounds and the basic values follow; those outside their
-bounds are clipped onto them, and a single artificial column
+what bounds the rounding drift an inverse carries from re-plan to re-plan.
+When the basis carries none, or the carried one misses the check, ``inv``
+runs as for any given basis, and ``LPSolution.start_inverse`` says which
+happened.  An optimal solution hands on its final inverse with its final
+basis, unless phase 1 left its artificial column basic.  The nonbasic
+columns sit at their bounds and the basic values follow; those outside
+their bounds are clipped onto them, and a single artificial column
 ``g = B (x_B - clip(x_B))``, bounded to [0, 1] and nonbasic at 1, carries
 the difference.  From the slack basis these are the row activities that
-miss their bounds.  Phase 1 minimizes ``g`` from that feasible start with
-the same machinery, and phases 2 and 3 follow.  Since phase 3 makes the
-plan a function of the program, the start basis moves it only by
+miss their bounds.  Phase 1 minimizes ``g`` from that feasible start
+with the same machinery, and phases 2 and 3 follow.  Since phase 3 makes
+the plan a function of the program, the start basis moves it only by
 rounding.  An optimal solution reports its final basis, one basic entry
 per row: an artificial still basic at zero hands its place to a row
 logical.
@@ -56,30 +53,19 @@ nonbasic values, the residual ``b - A xn`` and the sign that turns each
 column's reduced cost into its gain from one pivot to the next, and works
 on those rows alone.  They are few: on the re-plans of the benchmark
 workloads the entering column moves 7 to 8 of the 70 to 140 rows of the
-presolved program (median 5 to 7).  The ratio test and Bland's leaving
-choice run in one pass over those rows' Python floats, on the IEEE
-operations of the whole-array ratio test, and the inverse rows take one
-broadcast product each.  The dense products that feed the basic
-values, the duals and the inverse (``A @ xn``, ``binv @ r``,
-``binv @ A[:, j]``, ``c[basis] @ binv``, ``y @ A`` and the periodic
-``np.linalg.inv``) are the calls of the loop that rebuilds every quantity
-at each pivot, which the tests hold this loop to bit for bit.
-
-Presolve performs one safe reduction before the simplex runs and undoes it
-afterwards: a column appearing in exactly one equality row is substituted
-out, the row turning into a range constraint on the remaining terms, and
-both costs are carried through the substitution.  The grid-draw column of
-every balance row is such a singleton.  Rows left empty are checked
-against their bounds and dropped.  Solutions and objective values agree
-with presolve on or off (the tests check both paths).  Bases cross
-presolve both ways, so callers see only the program's own layout: a
-substituted column and the logical of its row share the reduced row's
-logical status.
+program (median 5 to 7).  The ratio test and Bland's leaving choice run in
+one pass over those rows' Python floats, on the IEEE operations of the
+whole-array ratio test, and the inverse rows take one broadcast product
+each.  The dense products that feed the basic values, the duals and the
+inverse (``A @ xn``, ``binv @ r``, ``binv @ A[:, j]``,
+``c[basis] @ binv``, ``y @ A`` and the periodic ``np.linalg.inv``) are the
+calls of the loop that rebuilds every quantity at each pivot, which the
+tests hold this loop to bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf, isfinite
 
 import numpy as np
@@ -90,6 +76,7 @@ from .lp import BASIC as _BASIC
 from .lp import FREE as _FREE
 from .lp import Basis, LinearProgram, LPSolution, invert_basis, inverts
 
+_TOL = 1e-9  # reduced costs, pivot entries and bound violations below this count as zero
 _REFRESH = 64  # refactorize the basis inverse every this many pivots
 _STALL = 50  # degenerate pivots in a row before Bland's rule picks the entering column
 
@@ -97,8 +84,6 @@ _STALL = 50  # degenerate pivots in a row before Bland's rule picks the entering
 @dataclass
 class SolveOptions:
     max_iterations: int = 20000
-    tolerance: float = 1e-9
-    presolve: bool = True
     basis: Basis | None = None  # start basis in the program's layout; None starts from the slack basis
 
 
@@ -135,11 +120,10 @@ class _Core:
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray,
-                 basis: np.ndarray, status: np.ndarray, tol: float, binv: np.ndarray):
+                 basis: np.ndarray, status: np.ndarray, binv: np.ndarray):
         self.A, self.b, self.c, self.lo, self.up = A, b, c, lo, up
         self.basis = basis
         self.status = status
-        self.tol = tol
         self.binv = binv
         self.pivots_since_refresh = 0
 
@@ -157,9 +141,7 @@ class _Core:
         return x
 
     def iterate(self, max_iterations: int) -> tuple[str, int]:
-        A, b, c, lo, up, basis, status, tol = (
-            self.A, self.b, self.c, self.lo, self.up, self.basis, self.status, self.tol
-        )
+        A, b, c, lo, up, basis, status = self.A, self.b, self.c, self.lo, self.up, self.basis, self.status
         lo_list, up_list = lo.tolist(), up.tolist()
         # a column's gain is sign * d: -1 for a nonbasic column that may only
         # rise, +1 for one that may only fall, 0 for one that cannot enter; a
@@ -186,14 +168,14 @@ class _Core:
             gain = sign * d
             if free.size:
                 gain[free] = np.abs(d[free])
-            eligible = gain > tol
+            eligible = gain > _TOL
             j = _entering(eligible, gain, degenerate >= _STALL)
             if not eligible[j]:
                 return "optimal", iterations
             sigma = 1.0 if d[j] < 0 else -1.0
 
             w = binv @ A[:, j]
-            rows = (np.abs(w) > tol).nonzero()[0]  # the others never block
+            rows = (np.abs(w) > _TOL).nonzero()[0]  # the others never block
             # ratio test and Bland's leaving choice (the smallest basic column
             # among tied ratios) in one pass over the moving rows' floats;
             # a NaN ratio reads as no block and a negative one as zero
@@ -264,7 +246,7 @@ class _Outcome:
     basic: np.ndarray | None = None
 
 
-def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, start: np.ndarray, tol: float,
+def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, start: np.ndarray,
            carried: np.ndarray | None = None):
     """The core over the basis of ``start``, a status over the columns of
     ``Afull``, or the reason it cannot be used: it has not one basic entry
@@ -285,7 +267,7 @@ def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, sta
     basis = np.flatnonzero(start == _BASIC)
     B = Afull[:, basis]
     if carried is not None and inverts(carried, B):
-        binv, how = carried, "carried"
+        binv, how = carried.copy(), "carried"  # the pivots update it in place
     else:
         binv, how = invert_basis(B), "none carried" if carried is None else "inaccurate"
     if binv is None:
@@ -297,8 +279,8 @@ def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, sta
     b = np.zeros(m)
     xb = binv @ (b - Afull @ _nonbasic_values(lo, up, status))
     excess = xb - np.minimum(np.maximum(xb, lo[basis]), up[basis])
-    if not np.any(np.abs(excess) > tol):
-        core = _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, tol, binv)
+    if not np.any(np.abs(excess) > _TOL):
+        core = _Core(Afull, b, np.concatenate([c, np.zeros(m)]), lo, up, basis, status, binv)
         return "accepted", core, 0.0, how
     g = B @ excess
     scale = float(np.abs(g).max())
@@ -306,7 +288,7 @@ def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, sta
     c1[-1] = scale
     core = _Core(
         np.concatenate([Afull, g[:, None]], axis=1), b, c1, np.append(lo, 0.0), np.append(up, 1.0),
-        basis, np.append(status, _AT_UP), tol, binv,
+        basis, np.append(status, _AT_UP), binv,
     )
     return "accepted", core, scale, how
 
@@ -330,7 +312,6 @@ def _solve_bounded(
     ``start_inverse`` is an inverse of its basis matrix to try first, with
     rows in the order of the basic entries."""
     m, n = A.shape
-    tol = options.tolerance
 
     if m == 0:
         # pure bound problem: each variable sits at whichever bound its cost prefers
@@ -351,16 +332,16 @@ def _solve_bounded(
 
     warm, core, how = None, None, None
     if start is not None:
-        warm, core, scale, how = _start(Afull, c, lo, up, start, tol, start_inverse)
+        warm, core, scale, how = _start(Afull, c, lo, up, start, start_inverse)
     if core is None:  # the slack basis, -I, is never rejected
-        _, core, scale, _ = _start(Afull, c, lo, up, np.repeat([_AT_LO, _BASIC], [n, m]), tol)
+        _, core, scale, _ = _start(Afull, c, lo, up, np.repeat([_AT_LO, _BASIC], [n, m]))
     phases = [0, 0, 0]
     if core.A.shape[1] > n + m:
         # phase 1: minimize the artificial
         state, phases[0] = core.iterate(options.max_iterations)
         if state == "iteration_limit":
             return _Outcome(state, core.full_x()[:n], None, tuple(phases), warm, how)
-        if float(core.c @ core.full_x()) > tol * max(1.0, scale):
+        if float(core.c @ core.full_x()) > _TOL * max(1.0, scale):
             return _Outcome("infeasible", core.full_x()[:n], None, tuple(phases), warm, how)
         # keep the artificial pinned at zero through phases 2 and 3
         core.lo[n + m :] = 0.0
@@ -373,7 +354,7 @@ def _solve_bounded(
         # its bound, which leaves the optimal face, and minimize the tie-break
         # cost over it; whatever the phase ends in, the point stays optimal
         d = core.c - (core.c[core.basis] @ core.binv) @ core.A
-        priced = np.abs(d) > tol
+        priced = np.abs(d) > _TOL
         at_lo, at_up = priced & (core.status == _AT_LO), priced & (core.status == _AT_UP)
         core.up[at_lo] = core.lo[at_lo]
         core.lo[at_up] = core.up[at_up]
@@ -397,217 +378,6 @@ def _solve_bounded(
     return _Outcome(state, core.full_x()[:n], final, tuple(phases), warm, how, binv, core.basis)
 
 
-# ----------------------------------------------------------------------
-# presolve
-# ----------------------------------------------------------------------
-
-@dataclass
-class _Eliminations:
-    """Batch of substituted-out column singletons (rows are disjoint)."""
-
-    cols: np.ndarray
-    coefs: np.ndarray
-    rhs: np.ndarray
-    rows: np.ndarray
-    rest_rows: np.ndarray  # triplets of the eliminated rows, minus the eliminated entry
-    rest_cols: np.ndarray
-    rest_vals: np.ndarray
-    # the reduced entry and scale of every entry of the program, once known
-    _entry_map: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def none(cls) -> "_Eliminations":
-        z = np.zeros(0, dtype=np.int64)
-        return cls(z, np.zeros(0), np.zeros(0), z, z, z, np.zeros(0))
-
-    def recover(self, x: np.ndarray, m: int) -> None:
-        """Fill the eliminated columns of x from their defining equalities."""
-        sums = np.zeros(m)
-        if self.rest_rows.size:
-            np.add.at(sums, self.rest_rows, self.rest_vals * x[self.rest_cols])
-        x[self.cols] = (self.rhs - sums[self.rows]) / self.coefs
-
-    def reduce_basis(self, basis: Basis, kept_cols: np.ndarray, kept_rows: np.ndarray) -> np.ndarray:
-        """The reduced program's status from a basis of the program.  The
-        logical of an eliminated row carries the eliminated column's part of
-        the row: it is basic if the column or the row's own logical is, and
-        otherwise takes the column's bound, swapped when the coefficient is
-        positive (the logical then falls as the column rises)."""
-        rows = basis.rows.copy()
-        col = basis.cols[self.cols]
-        rows[self.rows] = np.where(
-            (col == _BASIC) | (basis.rows[self.rows] == _BASIC), _BASIC, _swap_bounds(col, self.coefs > 0)
-        )
-        return np.concatenate([basis.cols[kept_cols], rows[kept_rows]])
-
-    def reduce_inverse(self, basis: Basis, kept_cols: np.ndarray, kept_rows: np.ndarray) -> np.ndarray | None:
-        """The inverse of the reduced basis matrix from ``basis.inverse``, its
-        rows in the order of the reduced basic entries; None when there is
-        none to reduce, it is not square over the rows, or the two bases do
-        not match entry for entry."""
-        if basis.inverse is None or basis.inverse.shape != (basis.rows.size,) * 2:
-            return None
-        mapped = self._basic_entries(basis.cols, basis.rows, kept_cols, kept_rows)
-        if mapped is None:
-            return None
-        reduced, scale = mapped
-        order = np.argsort(reduced)
-        if np.any(np.diff(reduced[order]) == 0):
-            return None
-        binv = basis.inverse.take(order, axis=0)
-        flip = np.flatnonzero(scale[order] != 1.0)
-        binv[flip] *= scale[order[flip], None]
-        return binv
-
-    def expand_basis(self, status: np.ndarray, n: int, m: int, kept_cols: np.ndarray, kept_rows: np.ndarray,
-                     binv: np.ndarray | None = None, basic: np.ndarray | None = None) -> Basis:
-        """The inverse of ``reduce_basis``: an eliminated column takes its
-        row logical's status, and the logical of its equality row sits at
-        its right-hand side.  The logical of a dropped empty row is basic.
-        ``binv``, the inverse of the reduced basis matrix whose row ``p``
-        belongs to the reduced entry ``basic[p]``, becomes the basis's
-        ``inverse``."""
-        cols = np.full(n, _AT_LO, dtype=np.int64)
-        cols[kept_cols] = status[: kept_cols.size]
-        rows = np.full(m, _BASIC, dtype=np.int64)
-        rows[kept_rows] = status[kept_cols.size :]
-        logical = rows[self.rows]
-        cols[self.cols] = np.where(logical == _BASIC, _BASIC, _swap_bounds(logical, self.coefs > 0))
-        rows[self.rows] = _AT_LO
-        inverse = None
-        mapped = None if binv is None else self._basic_entries(cols, rows, kept_cols, kept_rows)
-        if mapped is not None:
-            reduced, scale = mapped
-            place = np.empty(kept_cols.size + kept_rows.size, dtype=np.int64)
-            place[basic] = np.arange(basic.size)
-            inverse = binv.take(place[reduced], axis=0)
-            flip = np.flatnonzero(scale != 1.0)
-            inverse[flip] /= scale[flip, None]
-        return Basis(cols, rows, inverse)
-
-    def _basic_entries(self, cols: np.ndarray, rows: np.ndarray, kept_cols: np.ndarray, kept_rows: np.ndarray):
-        """How a basis of the program and the matching basis of the reduced
-        program correspond, for their inverses: for each basic entry of the
-        program (columns, then row logicals, in index order), the reduced
-        entry that stands for it and the scale between their columns.  A
-        substituted column ``j`` of row ``i``, ``coef e_i``, is ``-coef``
-        times the logical of row ``i``; every other basic entry is its own.
-        None when a row was dropped or the basis has not one basic entry per
-        row."""
-        n, m = cols.size, rows.size
-        if kept_rows.size != m:
-            return None
-        if self._entry_map is None:
-            reduced = np.full(n + m, -1, dtype=np.int64)
-            reduced[kept_cols] = np.arange(kept_cols.size)
-            reduced[n:] = kept_cols.size + np.arange(m)
-            reduced[self.cols] = kept_cols.size + self.rows
-            scale = np.ones(n + m)
-            scale[self.cols] = -self.coefs
-            self._entry_map = reduced, scale
-        reduced, scale = self._entry_map
-        entries = np.flatnonzero(np.concatenate([cols, rows]) == _BASIC)
-        if entries.size != m:
-            return None
-        return reduced[entries], scale[entries]
-
-
-def _swap_bounds(status: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """``status`` with AT_LO and AT_UP exchanged where ``where`` holds."""
-    swapped = np.where(status == _AT_LO, _AT_UP, np.where(status == _AT_UP, _AT_LO, status))
-    return np.where(where, swapped, status)
-
-
-def _presolve(lp: LinearProgram, tol: float):
-    """Reduce the LP; returns None if presolve already proves infeasibility.
-
-    The reduced costs come as a list: ``c``, then the tie-break cost if the
-    program has one.  Works on triplets sorted by (row, col), so every pass
-    is a whole-array operation.
-    """
-    n, m = lp.n_cols, lp.n_rows
-    order = np.lexsort((lp.a_cols, lp.a_rows))
-    rows = lp.a_rows[order]
-    cols = lp.a_cols[order]
-    vals = lp.a_vals[order].copy()
-
-    # combine duplicate (row, col) triplets, drop exact zeros
-    if rows.size:
-        same = np.zeros(rows.size, dtype=bool)
-        same[1:] = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-        group = np.cumsum(~same) - 1
-        agg = np.zeros(group[-1] + 1)
-        np.add.at(agg, group, vals)
-        first = np.flatnonzero(~same)
-        rows, cols, vals = rows[first], cols[first], agg
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-
-    col_count = np.bincount(cols, minlength=n)
-    costs = [cost.copy() for cost in (lp.c, lp.tiebreak) if cost is not None]
-    row_lo = lp.row_lo.copy()
-    row_up = lp.row_up.copy()
-    removed_col = np.zeros(n, dtype=bool)
-
-    is_eq_row = row_lo == row_up
-    candidate = is_eq_row[rows] & (col_count[cols] == 1) & (np.abs(vals) > 1e-12)
-    if np.any(candidate):
-        cand_idx = np.flatnonzero(candidate)
-        # smallest-column candidate per row: cand_idx is (row, col)-sorted
-        first_of_row = cand_idx[np.unique(rows[cand_idx], return_index=True)[1]]
-        e_rows = rows[first_of_row]
-        e_cols = cols[first_of_row]
-        e_coef = vals[first_of_row]
-        e_rhs = row_lo[e_rows].copy()
-        lo_j, up_j = lp.col_lo[e_cols], lp.col_up[e_cols]
-        pos = e_coef > 0
-        row_lo[e_rows] = np.where(pos, e_rhs - e_coef * up_j, e_rhs - e_coef * lo_j)
-        row_up[e_rows] = np.where(pos, e_rhs - e_coef * lo_j, e_rhs - e_coef * up_j)
-        removed_col[e_cols] = True
-
-        in_elim_row = np.zeros(m, dtype=bool)
-        in_elim_row[e_rows] = True
-        dropped = np.zeros(rows.size, dtype=bool)
-        dropped[first_of_row] = True
-        rest = in_elim_row[rows] & ~dropped
-        for cost in costs:
-            scale = np.zeros(m)
-            scale[e_rows] = cost[e_cols] / e_coef
-            np.subtract.at(cost, cols[rest], scale[rows[rest]] * vals[rest])
-        eliminations = _Eliminations(
-            cols=e_cols, coefs=e_coef, rhs=e_rhs, rows=e_rows,
-            rest_rows=rows[rest], rest_cols=cols[rest], rest_vals=vals[rest],
-        )
-        rows, cols, vals = rows[~dropped], cols[~dropped], vals[~dropped]
-    else:
-        eliminations = _Eliminations.none()
-
-    # rows left without entries drop out once zero activity is checked
-    # against their bounds
-    nonempty = np.zeros(m, dtype=bool)
-    nonempty[rows] = True
-    if np.any(~nonempty & ((row_lo > tol) | (row_up < -tol))):
-        return None
-
-    kept_cols = np.flatnonzero(~removed_col)
-    col_map = np.full(n, -1, dtype=np.int64)
-    col_map[kept_cols] = np.arange(kept_cols.size)
-    keep_idx = np.flatnonzero(nonempty)
-    row_map = np.full(m, -1, dtype=np.int64)
-    row_map[keep_idx] = np.arange(keep_idx.size)
-    A = np.zeros((keep_idx.size, kept_cols.size))
-    A[row_map[rows], col_map[cols]] = vals
-    return (
-        A,
-        row_lo[keep_idx],
-        row_up[keep_idx],
-        kept_cols,
-        keep_idx,
-        [cost[kept_cols] for cost in costs],
-        eliminations,
-    )
-
-
 def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSolution:
     """Solve a LinearProgram; deterministic for fixed inputs.
 
@@ -626,34 +396,20 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
     """
     options = options or SolveOptions()
     lp.validate()
-    tol = options.tolerance
     n, m = lp.n_cols, lp.n_rows
     given = options.basis
     fits = given is not None and given.cols.shape == (n,) and given.rows.shape == (m,)
-
-    if options.presolve:
-        reduced = _presolve(lp, tol)
-        if reduced is None:
-            return LPSolution("infeasible", np.zeros(n), np.nan, 0)
-        A, row_lo, row_up, kept_cols, kept_rows, costs, eliminations = reduced
-    else:
-        A, row_lo, row_up = lp.dense(), lp.row_lo, lp.row_up
-        kept_cols, kept_rows, eliminations = np.arange(n), np.arange(m), _Eliminations.none()
-        costs = [cost for cost in (lp.c, lp.tiebreak) if cost is not None]
-    start, start_inverse = None, None
-    if fits:
-        start = eliminations.reduce_basis(given, kept_cols, kept_rows)
-        start_inverse = eliminations.reduce_inverse(given, kept_cols, kept_rows)
     out = _solve_bounded(
-        A, costs[0], lp.col_lo[kept_cols], lp.col_up[kept_cols], row_lo, row_up, options, *costs[1:],
-        start=start, start_inverse=start_inverse,
+        lp.dense(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options, lp.tiebreak,
+        start=np.concatenate([given.cols, given.rows]) if fits else None,
+        start_inverse=given.inverse if fits else None,
     )
-    x = np.zeros(n)
-    x[kept_cols] = out.x
-    eliminations.recover(x, m)
+    x = out.x
     basis = None
     if out.status is not None:
-        basis = eliminations.expand_basis(out.status, n, m, kept_cols, kept_rows, out.binv, out.basic)
+        # the rows of the final inverse in the order of the basic entries
+        binv = None if out.binv is None else out.binv.take(np.argsort(out.basic), axis=0)
+        basis = Basis(out.status[:n], out.status[n:], binv)
 
     if out.state == "optimal":
         # tidy roundoff against the declared bounds

@@ -32,7 +32,7 @@ import itertools
 import numpy as np
 
 from vppdispatch.dispatch import LinearProgram
-from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH, _STALL
+from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH, _STALL, _TOL
 from vppdispatch.forecast import InsufficientHistoryError, UncertaintyEstimate, build_features, predict
 from vppdispatch.forecast.models import RecurrentNet, _sigmoid
 from vppdispatch.scenario import ScenarioSet
@@ -373,7 +373,7 @@ def rebuilding_iterate(self, max_iterations: int) -> tuple[str, int]:
     ``_Core.iterate``.  The largest |d| enters (Dantzig), and after
     ``_STALL`` pivots in a row that move nothing the smallest eligible index
     enters (Bland) until one moves."""
-    tol = self.tol
+    tol = _TOL
     degenerate = 0
     iterations = 0
     while True:

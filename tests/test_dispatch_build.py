@@ -306,9 +306,11 @@ class TestStochasticBuild:
 class TestCollapseAgainstExpansion:
     """The collapsed program against the N*T two-stage program written out.
 
-    The expansion is reduced by a textbook presolve (singleton substitution
-    plus merging identical rows) and solved with the same simplex, so the
-    two solves walk the same pivot path and their plans agree bit for bit.
+    Both are reduced by a textbook presolve (singleton substitution plus
+    merging identical rows), which leaves the same program bit for bit, so
+    their reduced solves walk the same pivot path and the plans recovered
+    from them agree bit for bit.  The collapsed program solved as built
+    agrees with them to 1e-9.
     """
 
     WINDOWS = (0, 19, 42, 67)
@@ -334,22 +336,25 @@ class TestCollapseAgainstExpansion:
                 expansion = expand_stochastic(inst, scen)
                 reduced, recover = reduce_program(expansion)
                 # the same reduction of both programs leaves the same program
-                collapse_reduced, _ = reduce_program(collapse)
+                collapse_reduced, collapse_recover = reduce_program(collapse)
                 for part in ("c", "tiebreak", "a_rows", "a_cols", "a_vals", "row_lo", "row_up", "col_lo", "col_up"):
                     assert np.array_equal(getattr(collapse_reduced, part), getattr(reduced, part)), (start, N, part)
                 sol = solve_lp(collapse)
+                own = solve_lp(collapse_reduced)
                 ref = solve_lp(reduced)
-                assert sol.status == ref.status == "optimal", (start, N)
+                assert sol.status == own.status == ref.status == "optimal", (start, N)
                 x_exp = recover(ref.x)
 
                 # the expansion's solution in the collapse's column layout
                 x_map = np.zeros(collapse.n_cols)
                 for q, index in expansion.meta["columns"].items():
                     x_map[collapse.meta["columns"][q]] = x_exp[index]
-                plan = extract_plan(sol, collapse)
+                reduced_plan = extract_plan(LPSolution("optimal", collapse_recover(own.x), np.nan, 0), collapse)
                 ref_plan = extract_plan(LPSolution("optimal", x_map, np.nan, 0), collapse)
+                plan = extract_plan(sol, collapse)
                 for field in ("p_charge", "p_discharge", "soc", "p_gen"):
-                    assert np.array_equal(getattr(plan, field), getattr(ref_plan, field)), (start, N, field)
+                    assert np.array_equal(getattr(reduced_plan, field), getattr(ref_plan, field)), (start, N, field)
+                    assert np.allclose(getattr(plan, field), getattr(ref_plan, field), rtol=0, atol=1e-9), (start, N, field)
                 draws = x_exp[expansion.meta["grid"]]
                 assert np.allclose(plan.p_grid, draws.mean(axis=0), rtol=0, atol=1e-9), (start, N)
 

@@ -71,6 +71,27 @@ def unbounded_lp():
     return b.build()
 
 
+def empty_row_lp():
+    """A feasible row on x0 and an equality row with no entries and a
+    right-hand side of 1, which no point meets."""
+    b = ProgramBuilder()
+    x = b.add_col("x0", 0.0, 2.0, 1.0)
+    b.add_row([(x, 1.0)], 1.0, 2.0)
+    b.add_row([], 1.0, 1.0)
+    return b.build()
+
+
+def duplicate_triplets_lp():
+    """min -x0 - y1 s.t. 2 x0 + y1 <= 3 over [0, 2]^2, the coefficient of
+    x0 given as two triplets, 0.5 and 1.5: the optimum (0.5, 2) is unique,
+    and taking either triplet alone would move it."""
+    b = ProgramBuilder()
+    x = b.add_col("x0", 0.0, 2.0, -1.0)
+    y = b.add_col("y1", 0.0, 2.0, -1.0)
+    b.add_row([(x, 0.5), (y, 1.0), (x, 1.5)], -np.inf, 3.0)
+    return b.build()
+
+
 def dispatch_lp(T, initial_soc=0.0, n_scenarios=None, start=7):
     """The clairvoyant (or, with ``n_scenarios``, the stochastic) dispatch
     program over steps [start, start+T) of an 8-day two-building district,
@@ -150,15 +171,6 @@ class TestOracleEquivalence:
             assert got.objective == pytest.approx(expect, abs=1e-6), f"trial {trial}"
         assert time.time() - started < 5.0
 
-    def test_presolve_and_raw_paths_agree(self):
-        rng = np.random.default_rng(77)
-        for _ in range(25):
-            lp = _build(*random_bounded_lp(rng))
-            with_pre = solve_lp(lp, SolveOptions(presolve=True))
-            without = solve_lp(lp, SolveOptions(presolve=False))
-            assert with_pre.status == without.status == "optimal"
-            assert with_pre.objective == pytest.approx(without.objective, abs=1e-7)
-
     def test_primal_within_bounds_when_optimal(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -224,11 +236,18 @@ class TestPivotPathMatchesRebuildingLoop:
 
     @pytest.mark.parametrize("build, status", [
         (infeasible_lp, "infeasible"),
+        (empty_row_lp, "infeasible"),
         (unbounded_lp, "unbounded"),
+        (duplicate_triplets_lp, "optimal"),
         (lambda: _build(*random_bounded_lp(np.random.default_rng(0))), "optimal"),
-    ], ids=["infeasible", "unbounded", "random"])
+    ], ids=["infeasible", "empty_row", "unbounded", "duplicate_triplets", "random"])
     def test_tiny_programs(self, build, status, monkeypatch):
-        assert self._check(build(), monkeypatch).status == status
+        got = self._check(build(), monkeypatch)
+        assert got.status == status
+        if status == "infeasible":
+            assert got.phase_iterations[0] > 0  # phase 1 found it
+        if build is duplicate_triplets_lp:
+            assert np.array_equal(got.x, [0.5, 2.0])  # the triplets count as their sum
         got = self._check(build(), monkeypatch, SolveOptions(max_iterations=0))
         assert got.status == "iteration_limit"
 
@@ -272,8 +291,9 @@ class TestPivotPathMatchesRebuildingLoop:
         assert list(got.phase_iterations) == calls and got.iterations == sum(calls)
 
     def test_iteration_limits(self, monkeypatch):
-        lp = dispatch_lp(48, initial_soc=0.5)
+        lp = dispatch_lp(48)
         (phase1, phase2, phase3), _ = self._trace(lp, monkeypatch)
+        assert phase1 + 10 <= simplex._REFRESH  # the first forced refactorization falls in phase 2
         # cut off in phase 1, in phase 2, in phase 2 after a refactorization
         # that _REFRESH pivots forced, and in phase 3, which ends optimal
         for limit, phases, refreshed, status in (
@@ -318,24 +338,15 @@ class TestPlanIndependence:
         for field in PLAN_FIELDS:
             assert np.allclose(getattr(plan, field), getattr(ref_plan, field), rtol=0, atol=1e-9), field
 
-    @DISPATCH_CASES
-    def test_presolve_keeps_the_plan(self, args):
-        lp = dispatch_lp(**args)
-        got, raw = solve_lp(lp), solve_lp(lp, SolveOptions(presolve=False))
-        plan, raw_plan = extract_plan(got, lp), extract_plan(raw, lp)
-        for field in PLAN_FIELDS:
-            assert np.allclose(getattr(plan, field), getattr(raw_plan, field), rtol=0, atol=1e-9), field
-
-    def test_presolve_substitutes_the_tiebreak(self):
-        """Every point is optimal for c = 0, and the tie-break weight of the
-        singleton s, which presolve substitutes out, decides the point."""
+    def test_tiebreak_on_a_singleton_decides_the_point(self):
+        """Every point is optimal for c = 0, and the tie-break weight of s,
+        a singleton column of an equality row, decides the point."""
         A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])  # columns x, y, s
         lp = _build(np.zeros(3), A, np.array([1.0, -1.0]), np.array([1.0, 1.0]), np.zeros(3), np.ones(3))
         lp.tiebreak = np.array([-0.1, -0.2, -1.0])
-        for presolve in (True, False):
-            got = solve_lp(lp, SolveOptions(presolve=presolve))
-            assert got.status == "optimal"
-            assert np.allclose(got.x, [0.0, 0.0, 1.0], rtol=0, atol=1e-12), presolve
+        got = solve_lp(lp)
+        assert got.status == "optimal"
+        assert np.allclose(got.x, [0.0, 0.0, 1.0], rtol=0, atol=1e-12)
 
     @DISPATCH_CASES
     def test_first_step_matches_lexicographic_highs(self, args):
@@ -364,10 +375,11 @@ class TestPlanIndependence:
         with monkeypatch.context() as patched:
             patched.setattr(simplex._Core, "iterate", counting_iterate)
             full = solve_lp(lp)
-        phase2, phase3 = calls
+        phase1, phase2, phase3 = calls
         assert phase3 > 1
-        cut = solve_lp(lp, SolveOptions(max_iterations=phase2 + phase3 // 2))
-        assert cut.status == "optimal" and cut.iterations == phase2 + phase3 // 2
+        limit = phase1 + phase2 + phase3 // 2
+        cut = solve_lp(lp, SolveOptions(max_iterations=limit))
+        assert cut.status == "optimal" and cut.iterations == limit
         assert abs(cut.objective - full.objective) <= 1e-9 * max(1.0, abs(full.objective))
         activity = lp.dense() @ cut.x
         assert np.all(activity >= lp.row_lo - 1e-7) and np.all(activity <= lp.row_up + 1e-7)
@@ -391,19 +403,18 @@ class TestWarmStart:
         for field in PLAN_FIELDS:
             assert np.allclose(getattr(plan, field), getattr(cold_plan, field), rtol=0, atol=1e-9), field
 
-    @pytest.mark.parametrize("presolve", [True, False])
-    def test_own_basis_needs_no_pivot(self, presolve):
+    def test_own_basis_needs_no_pivot(self):
         lp = dispatch_lp(48, initial_soc=0.5)
         cold = solve_lp(lp)
         assert basic_count(cold.basis) == lp.n_rows
-        again = solve_lp(lp, SolveOptions(presolve=presolve, basis=cold.basis))
+        again = solve_lp(lp, SolveOptions(basis=cold.basis))
         assert again.warm_start == "accepted" and again.iterations == 0
         assert np.allclose(again.x, cold.x, rtol=0, atol=1e-12)
 
     @staticmethod
     def _singular(lp, basis):
         """``basis`` with one battery's charge and discharge columns, which
-        are parallel once presolve substitutes out the grid, both basic."""
+        are parallel at unit efficiency, both basic."""
         cols = basis.cols.copy()
         charge, discharge = lp.meta["columns"]["charge"].ravel(), lp.meta["columns"]["discharge"].ravel()
         t = np.flatnonzero((cols[charge] == BASIC) != (cols[discharge] == BASIC))[0]
@@ -459,15 +470,14 @@ class TestWarmStart:
             source = solve_lp(neighbour)
             if source.status != "optimal":
                 continue
-            for presolve in (True, False):
-                cold = solve_lp(lp, SolveOptions(presolve=presolve))
-                warm = solve_lp(lp, SolveOptions(presolve=presolve, basis=source.basis))
-                assert warm.warm_start == "accepted", trial
-                assert warm.status == cold.status == "optimal", trial
-                assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective)), trial
-                assert basic_count(warm.basis) == basic_count(cold.basis) == lp.n_rows, trial
-                infeasible_starts += warm.phase_iterations[0] > 0
-                infeasible_cold_starts += cold.phase_iterations[0] > 0
+            cold = solve_lp(lp)
+            warm = solve_lp(lp, SolveOptions(basis=source.basis))
+            assert warm.warm_start == "accepted", trial
+            assert warm.status == cold.status == "optimal", trial
+            assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective)), trial
+            assert basic_count(warm.basis) == basic_count(cold.basis) == lp.n_rows, trial
+            infeasible_starts += warm.phase_iterations[0] > 0
+            infeasible_cold_starts += cold.phase_iterations[0] > 0
         assert infeasible_starts >= 5  # warm phase 1 ran
         assert infeasible_cold_starts >= 5  # phase 1 from the slack basis ran
 
@@ -498,13 +508,14 @@ class TestCarriedInverse:
         assert np.array_equal(got.x.view(np.int64), ref.x.view(np.int64))
         assert np.array_equal(got.basis.cols, ref.basis.cols) and np.array_equal(got.basis.rows, ref.basis.rows)
 
-    @pytest.mark.parametrize("presolve", [True, False])
-    def test_final_basis_carries_its_inverse(self, presolve):
+    def test_final_basis_carries_its_inverse(self):
         lp, start = shifted_start(48, initial_soc=0.5)
-        for options in (SolveOptions(presolve=presolve), SolveOptions(presolve=presolve, basis=start)):
+        given = start.inverse.copy()
+        for options in (SolveOptions(), SolveOptions(basis=start)):
             solution = solve_lp(lp, options)
             assert solution.status == "optimal" and solution.phase_iterations[0] > 0
             assert_inverse(lp, solution.basis)
+        assert np.array_equal(start.inverse, given)  # the pivots left the caller's inverse alone
 
     @pytest.mark.parametrize("k, T, later_T, at", [
         (1, 48, 48, 7), (3, 48, 48, 7), (1, 24, 23, 7), (2, 24, 20, 7), (1, 24, 20, 14), (1, 48, 30, 5),
@@ -548,10 +559,10 @@ class TestCarriedInverse:
         assert got.warm_start == "accepted" and got.start_inverse == "none carried"
         assert np.array_equal(got.x, cold.x)
 
-    @pytest.mark.parametrize("wrong, outcome", [("drifted", "inaccurate"), ("shape", "none carried")])
+    @pytest.mark.parametrize("wrong, outcome", [("drifted", "inaccurate"), ("shape", "inaccurate")])
     def test_inaccurate_inverse_is_refused(self, wrong, outcome):
-        """An inverse 1e-8 off in every entry misses the check; one of the
-        wrong shape is not taken."""
+        """An inverse 1e-8 off in every entry misses the check, and so does
+        one of the wrong shape."""
         lp, start = shifted_start(48, initial_soc=0.5)
         inverse = start.inverse + 1e-8 if wrong == "drifted" else start.inverse[:-1]
         start = Basis(start.cols, start.rows, inverse)
