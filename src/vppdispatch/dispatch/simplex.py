@@ -32,7 +32,8 @@ carry the inverse of its basis matrix (``Basis.inverse``), such as the one
 ``build.shift_basis`` derives from the previous re-plan's final inverse:
 it replaces ``inv`` when it passes that same ``B B^-1`` check, which is
 what bounds the rounding drift an inverse carries from re-plan to re-plan.
-When the basis carries none, or the carried one misses the check, ``inv``
+When the basis carries none (or one of the wrong shape), or the carried
+one misses the check, ``inv``
 runs as for any given basis, and ``LPSolution.start_inverse`` says which
 happened.  An optimal solution hands on its final inverse with its final
 basis, unless phase 1 left its artificial column basic.  The nonbasic
@@ -266,6 +267,8 @@ def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, sta
         return "wrong size", None, 0.0, None
     basis = np.flatnonzero(start == _BASIC)
     B = Afull[:, basis]
+    if carried is not None and carried.shape != B.shape:
+        carried = None  # not an inverse of this basis matrix at all
     if carried is not None and inverts(carried, B):
         binv, how = carried.copy(), "carried"  # the pivots update it in place
     else:

@@ -403,12 +403,17 @@ class TestWarmStart:
         for field in PLAN_FIELDS:
             assert np.allclose(getattr(plan, field), getattr(cold_plan, field), rtol=0, atol=1e-9), field
 
-    def test_own_basis_needs_no_pivot(self):
+    @pytest.mark.parametrize("with_inverse", [True, False])
+    def test_own_basis_needs_no_pivot(self, with_inverse):
+        """The final basis restarts without a pivot, whether it carries its
+        inverse or ``inv`` inverts it again."""
         lp = dispatch_lp(48, initial_soc=0.5)
         cold = solve_lp(lp)
-        assert basic_count(cold.basis) == lp.n_rows
-        again = solve_lp(lp, SolveOptions(basis=cold.basis))
+        assert basic_count(cold.basis) == lp.n_rows and cold.basis.inverse is not None
+        start = cold.basis if with_inverse else Basis(cold.basis.cols, cold.basis.rows)
+        again = solve_lp(lp, SolveOptions(basis=start))
         assert again.warm_start == "accepted" and again.iterations == 0
+        assert again.start_inverse == ("carried" if with_inverse else "none carried")
         assert np.allclose(again.x, cold.x, rtol=0, atol=1e-12)
 
     @staticmethod
@@ -508,13 +513,15 @@ class TestCarriedInverse:
         assert np.array_equal(got.x.view(np.int64), ref.x.view(np.int64))
         assert np.array_equal(got.basis.cols, ref.basis.cols) and np.array_equal(got.basis.rows, ref.basis.rows)
 
-    def test_final_basis_carries_its_inverse(self):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_final_basis_carries_its_inverse(self, warm):
+        """From the slack basis and from the shifted start, both of which
+        run phase 1."""
         lp, start = shifted_start(48, initial_soc=0.5)
         given = start.inverse.copy()
-        for options in (SolveOptions(), SolveOptions(basis=start)):
-            solution = solve_lp(lp, options)
-            assert solution.status == "optimal" and solution.phase_iterations[0] > 0
-            assert_inverse(lp, solution.basis)
+        solution = solve_lp(lp, SolveOptions(basis=start) if warm else SolveOptions())
+        assert solution.status == "optimal" and solution.phase_iterations[0] > 0
+        assert_inverse(lp, solution.basis)
         assert np.array_equal(start.inverse, given)  # the pivots left the caller's inverse alone
 
     @pytest.mark.parametrize("k, T, later_T, at", [
@@ -559,10 +566,10 @@ class TestCarriedInverse:
         assert got.warm_start == "accepted" and got.start_inverse == "none carried"
         assert np.array_equal(got.x, cold.x)
 
-    @pytest.mark.parametrize("wrong, outcome", [("drifted", "inaccurate"), ("shape", "inaccurate")])
+    @pytest.mark.parametrize("wrong, outcome", [("drifted", "inaccurate"), ("shape", "none carried")])
     def test_inaccurate_inverse_is_refused(self, wrong, outcome):
-        """An inverse 1e-8 off in every entry misses the check, and so does
-        one of the wrong shape."""
+        """An inverse 1e-8 off in every entry misses the check; one of the
+        wrong shape is not taken."""
         lp, start = shifted_start(48, initial_soc=0.5)
         inverse = start.inverse + 1e-8 if wrong == "drifted" else start.inverse[:-1]
         start = Basis(start.cols, start.rows, inverse)
