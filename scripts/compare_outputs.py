@@ -23,10 +23,16 @@ tree also solves two programs cold, each through a phase 1 of its own: the
 8-day district whose batteries start at half their capacity.  Their fields
 are ``x``, the objective, the pivots of each phase and the final basis.
 
-One line per field says ``bitwise`` or gives the maximum absolute and
-relative difference.  The script exits 1 when a field that both trees
-produce differs by a relative difference above ``--tol``, or changes shape
-or type; fields only one tree produces are listed and do not fail.
+One line per field says ``bitwise`` or gives the maximum absolute
+difference, the maximum elementwise relative difference and the norm-wise
+relative difference: the maximum absolute difference over the field's
+largest finite magnitude on either side.  The script exits 1 when a field
+that both trees produce differs by a norm-wise relative difference above
+``--tol``, or changes shape or type; fields only one tree produces are
+listed and do not fail.  Judged norm-wise, an entry that is an exact 0 on
+one side and a rounding residue on the other passes with the rest of its
+field, while a change in a small entry that is large next to the field's
+largest still fails.
 """
 
 from __future__ import annotations
@@ -177,8 +183,9 @@ def collect(tree: Path) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------------
 
 def diff(base: np.ndarray, head: np.ndarray) -> tuple[str, float]:
-    """A verdict on one field and the relative difference it counts
-    against the tolerance: 0 when bitwise, inf when not comparable."""
+    """A verdict on one field and the norm-wise relative difference it
+    counts against the tolerance: 0 when bitwise, inf when not comparable
+    or when a NaN or an infinity moved."""
     if base.shape != head.shape:
         return f"shape {base.shape} -> {head.shape}", np.inf
     if base.dtype != head.dtype:
@@ -195,7 +202,9 @@ def diff(base: np.ndarray, head: np.ndarray) -> tuple[str, float]:
         scale = np.maximum(np.abs(x), np.abs(y))
         rel = np.divide(gap, scale, out=np.zeros_like(gap), where=gap > 0)
         rel[np.isnan(rel)] = np.inf  # inf against inf of the other sign
-    return f"max abs {gap.max():.3g}, max rel {rel.max():.3g}", float(rel.max())
+        finite = scale[np.isfinite(scale)]
+        norm = gap.max() / finite.max(initial=0.0) if np.isfinite(gap.max()) else np.inf
+    return f"max abs {gap.max():.3g}, max rel {rel.max():.3g}, norm rel {norm:.3g}", float(norm)
 
 
 def compare(base: dict[str, np.ndarray], head: dict[str, np.ndarray], tol: float) -> tuple[list[str], bool]:

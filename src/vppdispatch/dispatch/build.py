@@ -46,8 +46,12 @@ Every program has the same layout, recorded in ``meta["columns"]`` and
 dynamics row per storage and step, one balance row per step.  The builder
 computes every index of that layout, and the bounds, costs and triplets
 over it, with array arithmetic; nothing is appended one entry at a time.
-The program is validated where it is solved.  Successive
-re-plans of a rolling horizon are the same program one step on, so
+The triplets and the augmented matrix ``[A  -I]`` depend only on the
+shape (steps, generators, storages and step length): ``_template`` builds
+them once per shape, read-only, and every program of that shape shares
+them, so a re-plan computes only its costs, bounds and tie-break.  Only
+the latest shape is kept.  The program is validated where it is solved.
+Successive re-plans of a rolling horizon are the same program one step on, so
 ``shift_basis`` carries the optimal basis of one into a start basis for the
 next by index arithmetic over that layout, and the inverse of its basis
 matrix with it (``_shift_inverse``).
@@ -112,6 +116,47 @@ def _layout(T: int, G: int, S: int) -> tuple[dict[str, np.ndarray], dict[str, np
     return columns, rows
 
 
+class _Template(NamedTuple):
+    """The part of a program that depends on its shape alone: the triplets
+    and the augmented matrix ``[A  -I]`` the solver works on."""
+
+    a_rows: np.ndarray
+    a_cols: np.ndarray
+    a_vals: np.ndarray
+    augmented: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _template(T: int, G: int, S: int, dt: float) -> _Template:
+    """The triplets of a program of T steps over G generators and S
+    storages with steps of ``dt`` hours, laid out by ``_layout``, and its
+    augmented matrix, built from them as ``solve_lp`` builds it for a
+    program that carries none; read-only and shared by every program of
+    the shape.  Only the latest shape is kept: a rolling horizon re-plans
+    at one shape until its last steps, where each shorter shape is built
+    once."""
+    columns, rows = _layout(T, G, S)
+    grid, gen, chg, dis, soc = (columns[q] for q in COLUMN_QUANTITIES)
+    dyn, balance = (rows[q] for q in ROW_KINDS)
+    n, m = T + G * T + 3 * S * T, S * T + T
+    # the SOC of step t-1 sits three columns before that of step t; step 0 has none
+    terms = np.ones((S, T, 4), dtype=bool)
+    terms[:, 0, 3] = False
+    dyn_cols = np.stack([soc, chg, dis, soc - 3], axis=-1)[terms]
+    dyn_vals = np.broadcast_to(np.array([1.0, -dt, dt, -1.0]), (S, T, 4))[terms]
+    bal_cols = np.concatenate([grid[:, None], gen.T, dis.T, chg.T], axis=1)
+    bal_vals = np.concatenate([np.ones(1 + G + S), np.full(S, -1.0)])
+    a_rows = np.concatenate([np.repeat(dyn.ravel(), 4)[terms.ravel()], np.repeat(balance, bal_cols.shape[1])])
+    a_cols = np.concatenate([dyn_cols, bal_cols.ravel()])
+    a_vals = np.concatenate([dyn_vals, np.tile(bal_vals, T)])
+    dense = np.zeros((m, n))
+    np.add.at(dense, (a_rows, a_cols), a_vals)  # as LinearProgram.dense
+    template = _Template(a_rows, a_cols, a_vals, np.concatenate([dense, -np.eye(m)], axis=1))
+    for array in template:
+        array.flags.writeable = False
+    return template
+
+
 class _ShiftMaps(NamedTuple):
     """Where each column, row and basic entry (columns, then row logicals)
     of a program lands in the program built ``k`` steps later over the same
@@ -165,7 +210,6 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     """
     T = _check_horizon(instance, forecasts.solar, forecasts.load, forecasts.price)
     G, S = len(instance.generators), len(instance.storages)
-    dt = instance.grid.step_hours
     columns, rows = _layout(T, G, S)
     grid, gen, chg, dis, soc = (columns[q] for q in COLUMN_QUANTITIES)
     dyn, balance = (rows[q] for q in ROW_KINDS)
@@ -189,13 +233,6 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     row_lo[dyn[:, 0]] = [s.e_initial for s in stores]
     row_lo[balance] = forecasts.load.sum(axis=0)
 
-    # the SOC of step t-1 sits three columns before that of step t; step 0 has none
-    terms = np.ones((S, T, 4), dtype=bool)
-    terms[:, 0, 3] = False
-    dyn_cols = np.stack([soc, chg, dis, soc - 3], axis=-1)[terms]
-    dyn_vals = np.broadcast_to(np.array([1.0, -dt, dt, -1.0]), (S, T, 4))[terms]
-    bal_cols = np.concatenate([grid[:, None], gen.T, dis.T, chg.T], axis=1)
-    bal_vals = np.concatenate([np.ones(1 + G + S), np.full(S, -1.0)])
     t0 = instance.grid.start_index
     if t0 < 0:
         raise ValueError(f"tie-break weights need a step index >= 0, not {t0}")
@@ -208,17 +245,19 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     meta = _meta(instance, T, n_scenarios=0)
     meta["columns"] = dict(columns)
     meta["rows"] = dict(rows)
+    template = _template(T, G, S, instance.grid.step_hours)
     return LinearProgram(
         c=c,
-        a_rows=np.concatenate([np.repeat(dyn.ravel(), 4)[terms.ravel()], np.repeat(balance, bal_cols.shape[1])]),
-        a_cols=np.concatenate([dyn_cols, bal_cols.ravel()]),
-        a_vals=np.concatenate([dyn_vals, np.tile(bal_vals, T)]),
+        a_rows=template.a_rows,
+        a_cols=template.a_cols,
+        a_vals=template.a_vals,
         row_lo=row_lo,
         row_up=row_lo.copy(),
         col_lo=col_lo,
         col_up=col_up,
         meta=meta,
         tiebreak=tiebreak,
+        augmented=template.augmented,
     )
 
 
@@ -417,9 +456,8 @@ def _block_inverse(B: np.ndarray) -> np.ndarray | None:
 
 def _nonsingular(lp: LinearProgram, cols: np.ndarray, rows: np.ndarray) -> bool:
     """Whether the columns and logicals marked basic form a basis of ``lp``."""
-    m = lp.n_rows
-    B = np.concatenate([lp.dense()[:, cols == BASIC], -np.eye(m)[:, rows == BASIC]], axis=1)
-    return B.shape[1] == m and invert_basis(B) is not None
+    B = lp.augmented_matrix()[:, np.flatnonzero(np.concatenate([cols, rows]) == BASIC)]
+    return B.shape[1] == lp.n_rows and invert_basis(B) is not None
 
 
 def extract_plan(solution: LPSolution, lp: LinearProgram) -> DispatchPlan:

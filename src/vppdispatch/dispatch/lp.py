@@ -5,7 +5,14 @@ and two-sided row and column bounds.  A dispatch program's ``meta`` maps
 each (quantity, device, step) to its column and row indices, so solutions
 can be mapped back to dispatch series.  An optional secondary cost,
 ``tiebreak``, picks one point among the optima of ``c``: the solver
-minimizes it over the optimal face without moving ``c . x``.  A Basis
+minimizes it over the optimal face without moving ``c . x``.  The
+solver works on the augmented system ``[A  -I] [x; r] = 0``, the row
+activities ``r`` carrying the row bounds.  A dispatch program carries
+that matrix as ``augmented``: it depends on the program's shape alone, so
+it and the triplets are built once per shape and shared, read-only, by
+every program of that shape.  A program built by hand leaves
+``augmented`` None, and the solver builds ``[A  -I]`` from its triplets
+at each solve.  A Basis
 states a simplex basis in the program's own layout: the status of every
 column and of every row's logical, and, when known, the inverse of its
 basis matrix.  The MPS writer produces a fixed-layout
@@ -38,6 +45,8 @@ class LinearProgram:
     col_up: np.ndarray
     meta: dict = field(default_factory=dict)
     tiebreak: np.ndarray | None = None  # secondary cost over the optima of c; not written to MPS
+    # [A  -I] of the triplets, read-only and shared by the programs of one shape; None builds it per solve
+    augmented: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -55,6 +64,8 @@ class LinearProgram:
             raise ValueError("tie-break cost and column count disagree")
         if self.row_up.shape[0] != m:
             raise ValueError("row bound arrays disagree")
+        if self.augmented is not None and self.augmented.shape != (m, n + m):
+            raise ValueError("augmented matrix and program shape disagree")
         if self.a_rows.shape != self.a_cols.shape or self.a_rows.shape != self.a_vals.shape:
             raise ValueError("triplet arrays disagree")
         if m and self.a_rows.size and (self.a_rows.max() >= m or self.a_rows.min() < 0):
@@ -68,6 +79,14 @@ class LinearProgram:
         A = np.zeros((self.n_rows, self.n_cols))
         np.add.at(A, (self.a_rows, self.a_cols), self.a_vals)
         return A
+
+    def augmented_matrix(self) -> np.ndarray:
+        """``[A  -I]``, the matrix of the augmented system the solver works
+        on: ``augmented`` when the program carries it, else built from the
+        triplets."""
+        if self.augmented is not None:
+            return self.augmented
+        return np.concatenate([self.dense(), -np.eye(self.n_rows)], axis=1)
 
 
 def invert_basis(B: np.ndarray) -> np.ndarray | None:

@@ -1,5 +1,13 @@
 """Bounded-variable primal simplex with Dantzig pricing.
 
+The solver works on the augmented system ``[A  -I] [x; r] = 0``, whose
+logical columns ``r`` carry the row bounds.  It only reads that matrix: a
+dispatch program hands over the one its shape shares
+(``LinearProgram.augmented``), and any other program has it built from its
+triplets at each solve, so no solve of a dispatch program densifies or
+concatenates the constraint matrix.  Phase 1 appends its artificial column
+to a copy.
+
 The solver keeps an explicit dense basis inverse (adequate at the dispatch
 program sizes, which do not grow with the scenario count).  It prices by
 Dantzig's rule: the eligible column with the largest reduced cost in
@@ -106,7 +114,8 @@ def _entering(eligible: np.ndarray, gain: np.ndarray, stalled: bool) -> int:
 
 
 class _Core:
-    """Simplex state over the augmented system A x = b with column bounds.
+    """Simplex state over the augmented system A x = b with column bounds;
+    ``A`` is only read.
 
     Between calls to ``iterate`` the state is the basis, the column status
     and the dense basis inverse, refactorized every ``_REFRESH`` pivots and
@@ -297,7 +306,7 @@ def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, sta
 
 
 def _solve_bounded(
-    A: np.ndarray,
+    Afull: np.ndarray,
     c: np.ndarray,
     col_lo: np.ndarray,
     col_up: np.ndarray,
@@ -310,11 +319,13 @@ def _solve_bounded(
 ) -> _Outcome:
     """Two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up, col_lo <= x <= col_up,
     then, given ``tiebreak``, phase 3: min tiebreak.x over the optima of c.
-    ``start`` is a status over the columns and then the row logicals; if it
-    is usable, phase 1 starts from its basis, otherwise from the slack basis.
+    ``Afull`` is ``[A  -I]``, the augmented system ``[A  -I] [x; r] = 0``
+    with ``r`` carrying the row bounds; it is only read.  ``start`` is a
+    status over the columns and then the row logicals; if it is usable,
+    phase 1 starts from its basis, otherwise from the slack basis.
     ``start_inverse`` is an inverse of its basis matrix to try first, with
     rows in the order of the basic entries."""
-    m, n = A.shape
+    m, n = Afull.shape[0], Afull.shape[1] - Afull.shape[0]
 
     if m == 0:
         # pure bound problem: each variable sits at whichever bound its cost prefers
@@ -328,8 +339,6 @@ def _solve_bounded(
         status = np.where(x == col_lo, _AT_LO, np.where(x == col_up, _AT_UP, _FREE))
         return _Outcome("optimal", x, status, (0, 0, 0), None)
 
-    # augmented system [A  -I] [x; r] = 0 with r carrying the row bounds
-    Afull = np.concatenate([A, -np.eye(m)], axis=1)
     lo = np.concatenate([col_lo, row_lo])
     up = np.concatenate([col_up, row_up])
 
@@ -403,7 +412,7 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
     given = options.basis
     fits = given is not None and given.cols.shape == (n,) and given.rows.shape == (m,)
     out = _solve_bounded(
-        lp.dense(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options, lp.tiebreak,
+        lp.augmented_matrix(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options, lp.tiebreak,
         start=np.concatenate([given.cols, given.rows]) if fits else None,
         start_inverse=given.inverse if fits else None,
     )

@@ -28,12 +28,36 @@ def test_a_last_bit_move_is_reported_and_fails_at_zero_tolerance():
     b = a.copy()
     b[1] = np.nextafter(b[1], 3.0)
     verdict, rel = compare_outputs.diff(a, b)
-    assert verdict.startswith("max abs 4.44e-16, max rel 2.22e-16")
-    assert rel == pytest.approx(2.0 ** -52)
+    assert verdict == "max abs 4.44e-16, max rel 2.22e-16, norm rel 1.48e-16"
+    assert rel == pytest.approx(2.0 ** -51 / 3)  # the gap over the field's largest magnitude
     _, failed = compare_outputs.compare({"x": a}, {"x": b}, tol=0.0)
     assert failed
     lines, failed = compare_outputs.compare({"x": a}, {"x": b}, tol=1e-15)
     assert not failed and "1 within" in lines[-1]
+
+
+def test_a_rounding_residue_against_an_exact_zero_passes_norm_wise():
+    """0 against 1.8e-15 kW is an elementwise relative difference of 1, but
+    rounding next to the field's largest entry."""
+    base = np.array([0.0, 5.0, -3.0])
+    head = np.array([1.8e-15, 5.0, -3.0])
+    verdict, rel = compare_outputs.diff(base, head)
+    assert verdict == "max abs 1.8e-15, max rel 1, norm rel 3.6e-16"
+    assert rel == pytest.approx(1.8e-15 / 5.0)
+    assert not compare_outputs.compare({"x": base}, {"x": head}, tol=1e-9)[1]
+    assert compare_outputs.compare({"x": base}, {"x": head}, tol=0.0)[1]
+
+
+def test_a_real_change_in_a_small_entry_still_fails():
+    base = np.array([1.0, 1e-3])
+    head = np.array([1.0, 2e-3])
+    verdict, rel = compare_outputs.diff(base, head)
+    assert verdict == "max abs 0.001, max rel 0.5, norm rel 0.001"
+    assert compare_outputs.compare({"x": base}, {"x": head}, tol=1e-9)[1]
+    # a field that is all zero on one side has nothing larger to scale by
+    assert compare_outputs.diff(np.zeros(2), np.array([0.0, 1.8e-15]))[1] == 1.0
+    # what norm-wise judging accepts: a change far below the field's largest entry
+    assert compare_outputs.diff(np.array([1e6, 1e-9]), np.array([1e6, 2e-9]))[1] == pytest.approx(1e-15)
 
 
 def test_nan_matches_nan_but_not_a_number():
@@ -121,7 +145,7 @@ def test_report_diff_names_the_cell_that_moved(tmp_path):
     assert not failed and lines[-1].startswith("10 shared fields: 10 bitwise")  # NaN cells included
     lines, failed = compare_outputs.compare(base, compare_outputs.report_fields(tmp_path / "moved"), tol=1e-15)
     assert failed
-    assert "drift/summary.csv/row0.average: max abs 5.55e-17, max rel 2.22e-16" in lines
+    assert "drift/summary.csv/row0.average: max abs 5.55e-17, max rel 2.22e-16, norm rel 2.22e-16" in lines
     assert "drift/plots/summary.svg: differs  ABOVE TOL" in lines
     assert lines[-1].startswith("10 shared fields: 8 bitwise, 1 within --tol 1e-15, 1 above")
 

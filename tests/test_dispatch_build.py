@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vppdispatch.controller import ControllerConfig, Split, run_sofo
 from vppdispatch.domain import (
     BuildingSeries,
     GenerationDevice,
@@ -24,6 +26,7 @@ from vppdispatch.dispatch import (
 )
 from vppdispatch.dispatch import build as build_module
 from vppdispatch.dispatch.lp import BASIC, LPSolution
+from vppdispatch.forecast import UpdateScheme
 from vppdispatch.scenario import Forecasts, ScenarioSet, Uncertainty, sample_scenarios
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
 
@@ -171,9 +174,14 @@ def _assert_same_bits(new, old, where):
 
 def assert_same_program(new, old):
     """Every array of ``new`` equals the loop-built ``old``'s bit for bit,
-    and so does every ``meta`` entry but the loop builder's labels."""
+    and so does every ``meta`` entry but the loop builder's labels; the
+    shared ``[A  -I]`` of ``new`` is the one the solver builds from
+    ``old``'s triplets, signed zeros included."""
     for part in ("c", "a_rows", "a_cols", "a_vals", "row_lo", "row_up", "col_lo", "col_up", "tiebreak"):
         _assert_same_bits(getattr(new, part), getattr(old, part), part)
+    augmented = np.concatenate([old.dense(), -np.eye(old.n_rows)], axis=1)
+    assert old.augmented is None and new.augmented.shape == augmented.shape
+    assert new.augmented.tobytes() == augmented.tobytes()
     assert set(new.meta) == set(old.meta) - {"labels"}
     for key, value in new.meta.items():
         if isinstance(value, dict):
@@ -219,6 +227,14 @@ class TestArrayBuildAgainstLoop:
                 window, forecasts = self._window(two_building_instance, T, S, G)
                 assert_same_program(build_deterministic(window, forecasts), loop_build_deterministic(window, forecasts))
 
+    def test_step_hours(self, two_building_instance):
+        """Steps of a quarter hour scale the dynamics rows' flow terms."""
+        window, forecasts = self._window(two_building_instance, 24, 2, 2)
+        window = replace(window, grid=replace(window.grid, step_hours=0.25))
+        new = build_deterministic(window, forecasts)
+        assert_same_program(new, loop_build_deterministic(window, forecasts))
+        assert set(new.a_vals.tolist()) == {1.0, -1.0, 0.25, -0.25}
+
     @pytest.mark.parametrize("N", [1, 50])
     def test_stochastic(self, two_building_instance, monkeypatch, N):
         for T in (1, 24):
@@ -239,6 +255,40 @@ class TestArrayBuildAgainstLoop:
         path = tmp_path / "program.mps"
         write_mps(build_deterministic(window, _forecasts(window)), str(path))
         assert path.read_bytes() == (Path(__file__).parent / "data" / "dispatch_T3.mps").read_bytes()
+
+
+class TestSharedTemplate:
+    """The triplets and ``[A  -I]`` that every program of one shape shares."""
+
+    def test_builds_of_one_shape_share_read_only_arrays(self, two_building_instance):
+        one = build_deterministic(two_building_instance.slice(0, 24), _forecasts(two_building_instance.slice(0, 24)))
+        scen = sample_scenarios(_forecasts(two_building_instance.slice(5, 24)), Uncertainty.zero(), N=3, seed=0)
+        two = build_stochastic(two_building_instance.slice(5, 24), scen)
+        for part in ("a_rows", "a_cols", "a_vals", "augmented"):
+            array = getattr(two, part)
+            assert array is getattr(one, part), part
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert two.c is not one.c and two.row_lo is not one.row_lo and two.col_up is not one.col_up
+
+    def test_validate_rejects_a_wrong_shape(self, two_building_instance):
+        lp = build_deterministic(two_building_instance.slice(0, 4), _forecasts(two_building_instance.slice(0, 4)))
+        lp.validate()
+        for wrong in (lp.augmented[:-1], lp.augmented[:, :-1], lp.dense()):
+            with pytest.raises(ValueError, match="augmented"):
+                replace(lp, augmented=wrong).validate()
+
+    def test_one_shape_is_kept_after_an_episode(self):
+        """A rolling horizon's tail builds each shorter shape once; only the
+        last one stays cached."""
+        inst = generate_synthetic(SyntheticSpec(days=2, n_buildings=1, battery_hours=4.0, seed=5))
+        config = ControllerConfig(forecaster="oracle", horizon_T=6, T_rl=1, seed=0, scheme=UpdateScheme("noft"))
+        ep = run_sofo(inst, Split(0, 0), config)
+        assert ep.lp_fallbacks == 0
+        info = build_module._template.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+        build_module._template(1, len(inst.generators), len(inst.storages), 1.0)  # the last re-plan's shape
+        assert build_module._template.cache_info().hits == info.hits + 1
 
 
 class TestStochasticBuild:

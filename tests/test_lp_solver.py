@@ -600,6 +600,22 @@ class TestCarriedInverse:
         self._as_without_inverse(target, start, got)
 
 
+@pytest.mark.parametrize("warm", [True, False], ids=["shifted", "cold"])
+def test_shared_augmented_matrix_solves_as_the_triplets(warm):
+    """A built program solves on the builder's shared ``[A  -I]`` with the
+    bits of the same program solved on one built from its triplets."""
+    lp, start = shifted_start(48, initial_soc=0.5)
+    options = SolveOptions(basis=start) if warm else SolveOptions()
+    got = solve_lp(lp, options)
+    ref = solve_lp(replace(lp, augmented=None), options)
+    assert lp.augmented is not None and got.status == "optimal" and got.phase_iterations[0] > 0
+    assert got.start_inverse == ("carried" if warm else None)
+    assert (got.warm_start, got.start_inverse, got.phase_iterations) == (ref.warm_start, ref.start_inverse, ref.phase_iterations)
+    for part in ("cols", "rows", "inverse"):
+        assert getattr(got.basis, part).tobytes() == getattr(ref.basis, part).tobytes(), part
+    assert got.x.tobytes() == ref.x.tobytes()
+
+
 def _highs(lp, cost, cap=None):
     """HiGHS through ``scipy.optimize.linprog`` on ``min cost.x`` over the
     program's rows and bounds, plus ``cap[0].x <= cap[1]`` if given."""
