@@ -202,9 +202,9 @@ def diff(base: np.ndarray, head: np.ndarray) -> tuple[str, float]:
         scale = np.maximum(np.abs(x), np.abs(y))
         rel = np.divide(gap, scale, out=np.zeros_like(gap), where=gap > 0)
         rel[np.isnan(rel)] = np.inf  # inf against inf of the other sign
-        finite = scale[np.isfinite(scale)]
-        norm = gap.max() / finite.max(initial=0.0) if np.isfinite(gap.max()) else np.inf
-    return f"max abs {gap.max():.3g}, max rel {rel.max():.3g}, norm rel {norm:.3g}", float(norm)
+    worst = gap.max()  # 0 when only signed zeros or NaN payloads differ, inf when a NaN or infinity moved
+    norm = worst / scale[np.isfinite(scale)].max() if 0.0 < worst < np.inf else worst
+    return f"max abs {worst:.3g}, max rel {rel.max():.3g}, norm rel {norm:.3g}", float(norm)
 
 
 def compare(base: dict[str, np.ndarray], head: dict[str, np.ndarray], tol: float) -> tuple[list[str], bool]:

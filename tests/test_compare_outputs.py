@@ -46,6 +46,7 @@ def test_a_rounding_residue_against_an_exact_zero_passes_norm_wise():
     assert rel == pytest.approx(1.8e-15 / 5.0)
     assert not compare_outputs.compare({"x": base}, {"x": head}, tol=1e-9)[1]
     assert compare_outputs.compare({"x": base}, {"x": head}, tol=0.0)[1]
+    assert compare_outputs.diff(np.zeros(2), np.array([0.0, -0.0])) == ("max abs 0, max rel 0, norm rel 0", 0.0)
 
 
 def test_a_real_change_in_a_small_entry_still_fails():

@@ -610,7 +610,8 @@ def test_shared_augmented_matrix_solves_as_the_triplets(warm):
     ref = solve_lp(replace(lp, augmented=None), options)
     assert lp.augmented is not None and got.status == "optimal" and got.phase_iterations[0] > 0
     assert got.start_inverse == ("carried" if warm else None)
-    assert (got.warm_start, got.start_inverse, got.phase_iterations) == (ref.warm_start, ref.start_inverse, ref.phase_iterations)
+    for part in ("warm_start", "start_inverse", "phase_iterations"):
+        assert getattr(got, part) == getattr(ref, part), part
     for part in ("cols", "rows", "inverse"):
         assert getattr(got.basis, part).tobytes() == getattr(ref.basis, part).tobytes(), part
     assert got.x.tobytes() == ref.x.tobytes()
