@@ -67,7 +67,7 @@ import numpy as np
 
 from ..domain import DispatchPlan, ProblemInstance
 from ..scenario import Forecasts, ScenarioSet
-from .lp import AT_LO, BASIC, Basis, LinearProgram, LPSolution, invert_basis
+from .lp import AT_LO, BASIC, Basis, LinearProgram, LPSolution, augmented_system, invert_basis
 
 COLUMN_QUANTITIES = ("grid", "gen", "charge", "discharge", "soc")
 ROW_KINDS = ("dynamics", "balance")
@@ -130,7 +130,7 @@ class _Template(NamedTuple):
 def _template(T: int, G: int, S: int, dt: float) -> _Template:
     """The triplets of a program of T steps over G generators and S
     storages with steps of ``dt`` hours, laid out by ``_layout``, and its
-    augmented matrix, built from them as ``solve_lp`` builds it for a
+    augmented matrix, built from them by ``augmented_system``, as for a
     program that carries none; read-only and shared by every program of
     the shape.  Only the latest shape is kept: a rolling horizon re-plans
     at one shape until its last steps, where each shorter shape is built
@@ -149,9 +149,7 @@ def _template(T: int, G: int, S: int, dt: float) -> _Template:
     a_rows = np.concatenate([np.repeat(dyn.ravel(), 4)[terms.ravel()], np.repeat(balance, bal_cols.shape[1])])
     a_cols = np.concatenate([dyn_cols, bal_cols.ravel()])
     a_vals = np.concatenate([dyn_vals, np.tile(bal_vals, T)])
-    dense = np.zeros((m, n))
-    np.add.at(dense, (a_rows, a_cols), a_vals)  # as LinearProgram.dense
-    template = _Template(a_rows, a_cols, a_vals, np.concatenate([dense, -np.eye(m)], axis=1))
+    template = _Template(a_rows, a_cols, a_vals, augmented_system(m, n, a_rows, a_cols, a_vals))
     for array in template:
         array.flags.writeable = False
     return template
@@ -246,7 +244,7 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
     meta["columns"] = dict(columns)
     meta["rows"] = dict(rows)
     template = _template(T, G, S, instance.grid.step_hours)
-    return LinearProgram(
+    lp = LinearProgram(
         c=c,
         a_rows=template.a_rows,
         a_cols=template.a_cols,
@@ -257,8 +255,9 @@ def build_deterministic(instance: ProblemInstance, forecasts: Forecasts) -> Line
         col_up=col_up,
         meta=meta,
         tiebreak=tiebreak,
-        augmented=template.augmented,
     )
+    lp.augmented = template.augmented
+    return lp
 
 
 def build_stochastic(instance: ProblemInstance, scenarios: ScenarioSet) -> LinearProgram:
@@ -421,19 +420,12 @@ def _shift_inverse(basis: Basis, maps: _ShiftMaps, target: LinearProgram, cols: 
         out -= left @ (inner @ crossing)
 
     if added.any():
-        # the new entries' rows of the basis matrix, from the triplets and
-        # -1 per basic logical; they have no entry in a kept row
-        logicals = np.flatnonzero(rows == BASIC)
-        r = np.concatenate([target.a_rows, logicals])
-        p = np.concatenate([pos[target.a_cols], pos[n1 + logicals]])
-        v = np.concatenate([target.a_vals, np.full(logicals.size, -1.0)])
-        basic = p >= 0
-        r, p, v = r[basic], p[basic], v[basic]
-        if np.any(added[p] & ~new_row[r]):
+        # the new rows of the basis matrix, read from [A  -I] with the small
+        # axis first; the new entries have no entry in a kept row
+        A1 = target.augmented_matrix()
+        if A1.take(entries[added], axis=1)[~new_row].any():
             return None
-        on = new_row[r]
-        border = np.zeros((np.count_nonzero(new_row), m1))
-        np.add.at(border, (np.searchsorted(np.flatnonzero(new_row), r[on]), p[on]), v[on])
+        border = A1[new_row].take(entries, axis=1)
         Zinv = _block_inverse(border[:, added])
         if Zinv is None:
             return None

@@ -10,9 +10,11 @@ solver works on the augmented system ``[A  -I] [x; r] = 0``, the row
 activities ``r`` carrying the row bounds.  A dispatch program carries
 that matrix as ``augmented``: it depends on the program's shape alone, so
 it and the triplets are built once per shape and shared, read-only, by
-every program of that shape.  A program built by hand leaves
-``augmented`` None, and the solver builds ``[A  -I]`` from its triplets
-at each solve.  A Basis
+every program of that shape.  ``augmented`` is no constructor argument:
+the builder sets it after construction, so a program built by hand, or
+copied with ``dataclasses.replace``, carries none, and ``solve_lp``, the
+solver's entry, builds ``[A  -I]`` from its triplets
+(``augmented_system``) at each solve.  A Basis
 states a simplex basis in the program's own layout: the status of every
 column and of every row's logical, and, when known, the inverse of its
 basis matrix.  The MPS writer produces a fixed-layout
@@ -45,8 +47,9 @@ class LinearProgram:
     col_up: np.ndarray
     meta: dict = field(default_factory=dict)
     tiebreak: np.ndarray | None = None  # secondary cost over the optima of c; not written to MPS
-    # [A  -I] of the triplets, read-only and shared by the programs of one shape; None builds it per solve
-    augmented: np.ndarray | None = None
+    # [A  -I] of the triplets, read-only and shared by the programs of one shape; None builds it per solve.
+    # Only the builder sets it, after construction, so a copy made with new triplets does not keep it.
+    augmented: np.ndarray | None = field(default=None, init=False)
 
     @property
     def n_rows(self) -> int:
@@ -76,9 +79,8 @@ class LinearProgram:
             raise ValueError("lower bound exceeds upper bound")
 
     def dense(self) -> np.ndarray:
-        A = np.zeros((self.n_rows, self.n_cols))
-        np.add.at(A, (self.a_rows, self.a_cols), self.a_vals)
-        return A
+        """``A``, the first ``n_cols`` columns of ``augmented_matrix()``."""
+        return self.augmented_matrix()[:, : self.n_cols]
 
     def augmented_matrix(self) -> np.ndarray:
         """``[A  -I]``, the matrix of the augmented system the solver works
@@ -86,7 +88,16 @@ class LinearProgram:
         triplets."""
         if self.augmented is not None:
             return self.augmented
-        return np.concatenate([self.dense(), -np.eye(self.n_rows)], axis=1)
+        return augmented_system(self.n_rows, self.n_cols, self.a_rows, self.a_cols, self.a_vals)
+
+
+def augmented_system(m: int, n: int, a_rows: np.ndarray, a_cols: np.ndarray, a_vals: np.ndarray) -> np.ndarray:
+    """``[A  -I]`` for the m-by-n matrix ``A`` of the triplets, duplicate
+    entries summed in triplet order; the identity block keeps the signed
+    zeros of ``-np.eye``."""
+    A = np.zeros((m, n))
+    np.add.at(A, (a_rows, a_cols), a_vals)
+    return np.concatenate([A, -np.eye(m)], axis=1)
 
 
 def invert_basis(B: np.ndarray) -> np.ndarray | None:

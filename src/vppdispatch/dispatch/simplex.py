@@ -1,12 +1,14 @@
 """Bounded-variable primal simplex with Dantzig pricing.
 
-The solver works on the augmented system ``[A  -I] [x; r] = 0``, whose
-logical columns ``r`` carry the row bounds.  It only reads that matrix: a
-dispatch program hands over the one its shape shares
+``solve_lp`` is the entry: it takes a ``LinearProgram`` and returns an
+``LPSolution``.  It works on the augmented system ``[A  -I] [x; r] = 0``,
+whose logical columns ``r`` carry the row bounds.  It only reads that
+matrix: a dispatch program hands over the one its shape shares
 (``LinearProgram.augmented``), and any other program has it built from its
 triplets at each solve, so no solve of a dispatch program densifies or
 concatenates the constraint matrix.  Phase 1 appends its artificial column
-to a copy.
+to a copy.  A program without rows takes the same phases as any other:
+its basis is empty, and every column that moves swings between its bounds.
 
 The solver keeps an explicit dense basis inverse (adequate at the dispatch
 program sizes, which do not grow with the scenario count).  It prices by
@@ -242,20 +244,6 @@ class _Core:
                 self.pivots_since_refresh += 1
 
 
-@dataclass
-class _Outcome:
-    state: str
-    x: np.ndarray  # the structural columns
-    status: np.ndarray | None  # final status of the columns and the row logicals, when optimal
-    phases: tuple[int, int, int]  # pivots of phases 1, 2 and 3
-    warm: str | None  # LPSolution.warm_start
-    start_inverse: str | None = None  # LPSolution.start_inverse
-    # the final basis inverse when optimal with no artificial basic; row p
-    # belongs to the basic entry basic[p]
-    binv: np.ndarray | None = None
-    basic: np.ndarray | None = None
-
-
 def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, start: np.ndarray,
            carried: np.ndarray | None = None):
     """The core over the basis of ``start``, a status over the columns of
@@ -305,98 +293,21 @@ def _start(Afull: np.ndarray, c: np.ndarray, lo: np.ndarray, up: np.ndarray, sta
     return "accepted", core, scale, how
 
 
-def _solve_bounded(
-    Afull: np.ndarray,
-    c: np.ndarray,
-    col_lo: np.ndarray,
-    col_up: np.ndarray,
-    row_lo: np.ndarray,
-    row_up: np.ndarray,
-    options: SolveOptions,
-    tiebreak: np.ndarray | None = None,
-    start: np.ndarray | None = None,
-    start_inverse: np.ndarray | None = None,
-) -> _Outcome:
-    """Two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up, col_lo <= x <= col_up,
-    then, given ``tiebreak``, phase 3: min tiebreak.x over the optima of c.
-    ``Afull`` is ``[A  -I]``, the augmented system ``[A  -I] [x; r] = 0``
-    with ``r`` carrying the row bounds; it is only read.  ``start`` is a
-    status over the columns and then the row logicals; if it is usable,
-    phase 1 starts from its basis, otherwise from the slack basis.
-    ``start_inverse`` is an inverse of its basis matrix to try first, with
-    rows in the order of the basic entries."""
-    m, n = Afull.shape[0], Afull.shape[1] - Afull.shape[0]
-
-    if m == 0:
-        # pure bound problem: each variable sits at whichever bound its cost prefers
-        x = np.where(c > 0, col_lo, np.where(c < 0, col_up, 0.0))
-        if np.any(~np.isfinite(x)):
-            return _Outcome("unbounded", np.zeros(n), None, (0, 0, 0), None)
-        free = c == 0
-        x[free] = np.where(
-            np.isfinite(col_lo[free]), col_lo[free], np.where(np.isfinite(col_up[free]), col_up[free], 0.0)
-        )
-        status = np.where(x == col_lo, _AT_LO, np.where(x == col_up, _AT_UP, _FREE))
-        return _Outcome("optimal", x, status, (0, 0, 0), None)
-
-    lo = np.concatenate([col_lo, row_lo])
-    up = np.concatenate([col_up, row_up])
-
-    warm, core, how = None, None, None
-    if start is not None:
-        warm, core, scale, how = _start(Afull, c, lo, up, start, start_inverse)
-    if core is None:  # the slack basis, -I, is never rejected
-        _, core, scale, _ = _start(Afull, c, lo, up, np.repeat([_AT_LO, _BASIC], [n, m]))
-    phases = [0, 0, 0]
-    if core.A.shape[1] > n + m:
-        # phase 1: minimize the artificial
-        state, phases[0] = core.iterate(options.max_iterations)
-        if state == "iteration_limit":
-            return _Outcome(state, core.full_x()[:n], None, tuple(phases), warm, how)
-        if float(core.c @ core.full_x()) > _TOL * max(1.0, scale):
-            return _Outcome("infeasible", core.full_x()[:n], None, tuple(phases), warm, how)
-        # keep the artificial pinned at zero through phases 2 and 3
-        core.lo[n + m :] = 0.0
-        core.up[n + m :] = 0.0
-        core.c = np.concatenate([c, np.zeros(core.A.shape[1] - n)])
-    state, phases[1] = core.iterate(options.max_iterations - phases[0])
-
-    if state == "optimal" and tiebreak is not None:
-        # phase 3: fix every nonbasic column that the price duals price at
-        # its bound, which leaves the optimal face, and minimize the tie-break
-        # cost over it; whatever the phase ends in, the point stays optimal
-        d = core.c - (core.c[core.basis] @ core.binv) @ core.A
-        priced = np.abs(d) > _TOL
-        at_lo, at_up = priced & (core.status == _AT_LO), priced & (core.status == _AT_UP)
-        core.up[at_lo] = core.lo[at_lo]
-        core.lo[at_up] = core.up[at_up]
-        core.c = np.zeros_like(core.c)
-        core.c[:n] = tiebreak
-        _, phases[2] = core.iterate(options.max_iterations - phases[0] - phases[1])
-
-    final, binv = None, None
-    if state == "optimal":
-        # the artificial, if still basic (at zero), hands its place to the
-        # nonbasic row logical with the largest entry in its row of the
-        # inverse, which enters at its current value; the inverse is then
-        # that of another basis and is not handed on
-        final = core.status[: n + m].copy()
-        left = np.flatnonzero(core.basis >= n + m)
-        if left.size:
-            logicals = np.flatnonzero(final[n:] != _BASIC)
-            final[n + logicals[np.abs(core.binv[left[0], logicals]).argmax()]] = _BASIC
-        else:
-            binv = core.binv
-    return _Outcome(state, core.full_x()[:n], final, tuple(phases), warm, how, binv, core.basis)
-
-
 def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSolution:
     """Solve a LinearProgram; deterministic for fixed inputs.
+
+    Runs the two-phase simplex on min c.x s.t. row_lo <= Ax <= row_up,
+    col_lo <= x <= col_up over the augmented system ``[A  -I] [x; r] = 0``,
+    then, when the program carries ``tiebreak``, phase 3: min tiebreak.x
+    over the optima of c.  A program without rows takes the same phases:
+    each column swings to the bound its cost prefers, and one with no
+    finite bound that way reads ``unbounded``.
 
     Infeasibility and unboundedness are reported via the status field, not
     raised.  On iteration_limit the best iterate reached is returned; a
     limit reached while minimizing ``lp.tiebreak`` still returns the optimal
-    point reached.  ``iterations`` counts the pivots of every phase.
+    point reached.  ``iterations`` counts the pivots and bound swings of
+    every phase.
 
     ``options.basis`` warm-starts the solve from a basis in the program's
     layout; a basis of the wrong size or a singular one is set aside for the
@@ -409,23 +320,61 @@ def solve_lp(lp: LinearProgram, options: SolveOptions | None = None) -> LPSoluti
     options = options or SolveOptions()
     lp.validate()
     n, m = lp.n_cols, lp.n_rows
-    given = options.basis
-    fits = given is not None and given.cols.shape == (n,) and given.rows.shape == (m,)
-    out = _solve_bounded(
-        lp.augmented_matrix(), lp.c, lp.col_lo, lp.col_up, lp.row_lo, lp.row_up, options, lp.tiebreak,
-        start=np.concatenate([given.cols, given.rows]) if fits else None,
-        start_inverse=given.inverse if fits else None,
-    )
-    x = out.x
-    basis = None
-    if out.status is not None:
-        # the rows of the final inverse in the order of the basic entries
-        binv = None if out.binv is None else out.binv.take(np.argsort(out.basic), axis=0)
-        basis = Basis(out.status[:n], out.status[n:], binv)
+    Afull = lp.augmented_matrix()
+    lo = np.concatenate([lp.col_lo, lp.row_lo])
+    up = np.concatenate([lp.col_up, lp.row_up])
 
-    if out.state == "optimal":
+    given, warm, core, how = options.basis, None, None, None
+    if given is not None and (given.cols.shape, given.rows.shape) != ((n,), (m,)):
+        warm = "wrong size"
+    elif given is not None:
+        warm, core, scale, how = _start(Afull, lp.c, lo, up, np.concatenate([given.cols, given.rows]), given.inverse)
+    if core is None:  # the slack basis, -I, is never rejected
+        _, core, scale, _ = _start(Afull, lp.c, lo, up, np.repeat([_AT_LO, _BASIC], [n, m]))
+    phases, state = [0, 0, 0], None
+    if core.A.shape[1] > n + m:
+        # phase 1: minimize the artificial
+        phase1, phases[0] = core.iterate(options.max_iterations)
+        if phase1 == "iteration_limit":
+            state = phase1
+        elif float(core.c @ core.full_x()) > _TOL * max(1.0, scale):
+            state = "infeasible"
+        else:
+            # keep the artificial pinned at zero through phases 2 and 3
+            core.lo[n + m :] = 0.0
+            core.up[n + m :] = 0.0
+            core.c = np.concatenate([lp.c, np.zeros(core.A.shape[1] - n)])
+    if state is None:
+        state, phases[1] = core.iterate(options.max_iterations - phases[0])
+    if state == "optimal" and lp.tiebreak is not None:
+        # phase 3: fix every nonbasic column that the price duals price at
+        # its bound, which leaves the optimal face, and minimize the tie-break
+        # cost over it; whatever the phase ends in, the point stays optimal
+        d = core.c - (core.c[core.basis] @ core.binv) @ core.A
+        priced = np.abs(d) > _TOL
+        at_lo, at_up = priced & (core.status == _AT_LO), priced & (core.status == _AT_UP)
+        core.up[at_lo] = core.lo[at_lo]
+        core.lo[at_up] = core.up[at_up]
+        core.c = np.zeros_like(core.c)
+        core.c[:n] = lp.tiebreak
+        _, phases[2] = core.iterate(options.max_iterations - phases[0] - phases[1])
+
+    x, basis = core.full_x()[:n], None
+    if state == "optimal":
         # tidy roundoff against the declared bounds
         x = np.minimum(np.maximum(x, lp.col_lo), lp.col_up)
-    objective = float(lp.c @ x) if out.state in ("optimal", "iteration_limit") else np.nan
-    warm = out.warm if fits or given is None else "wrong size"
-    return LPSolution(out.state, x, objective, sum(out.phases), basis, out.phases, warm, out.start_inverse)
+        # the artificial, if still basic (at zero), hands its place to the
+        # nonbasic row logical with the largest entry in its row of the
+        # inverse, which enters at its current value; the inverse is then
+        # that of another basis and is not handed on.  Otherwise the rows
+        # of the final inverse go in the order of the basic entries.
+        final, binv = core.status[: n + m].copy(), None
+        left = np.flatnonzero(core.basis >= n + m)
+        if left.size:
+            logicals = np.flatnonzero(final[n:] != _BASIC)
+            final[n + logicals[np.abs(core.binv[left[0], logicals]).argmax()]] = _BASIC
+        else:
+            binv = core.binv.take(np.argsort(core.basis), axis=0)
+        basis = Basis(final[:n], final[n:], binv)
+    objective = float(lp.c @ x) if state in ("optimal", "iteration_limit") else np.nan
+    return LPSolution(state, x, objective, sum(phases), basis, tuple(phases), warm, how)

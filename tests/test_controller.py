@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,3 +455,13 @@ class TestNoStorageBaseline:
         assert np.all(ep.charge == 0) and np.all(ep.discharge == 0)
         b = inst.buildings[0]
         assert np.allclose(ep.district, b.load - b.solar_capacity)
+
+
+def test_controller_import_leaves_scipy_out():
+    """Importing the controller loads no SciPy: the set-up of a run is
+    mostly imports, and SciPy alone would add a large share of them."""
+    probe = "import sys, vppdispatch.controller; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(controller.__file__).resolve().parents[1])  # this package's, whatever the path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -275,8 +275,10 @@ class TestSharedTemplate:
         lp = build_deterministic(two_building_instance.slice(0, 4), _forecasts(two_building_instance.slice(0, 4)))
         lp.validate()
         for wrong in (lp.augmented[:-1], lp.augmented[:, :-1], lp.dense()):
+            bad = replace(lp)
+            bad.augmented = wrong
             with pytest.raises(ValueError, match="augmented"):
-                replace(lp, augmented=wrong).validate()
+                bad.validate()
 
     def test_one_shape_is_kept_after_an_episode(self):
         """A rolling horizon's tail builds each shorter shape once; only the

@@ -7,8 +7,9 @@ import pytest
 from vppdispatch.dispatch import (
     build_deterministic, build_stochastic, extract_plan, shift_basis, solve_lp, write_mps,
 )
+from vppdispatch.dispatch import build as build_module
 from vppdispatch.dispatch import simplex
-from vppdispatch.dispatch.lp import BASIC, Basis, LPSolution
+from vppdispatch.dispatch.lp import AT_LO, AT_UP, BASIC, Basis, LPSolution
 from vppdispatch.dispatch.simplex import SolveOptions
 from vppdispatch.scenario import Forecasts, Uncertainty, sample_scenarios
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
@@ -155,6 +156,33 @@ class TestTinyPrograms:
         lp = _build(*random_bounded_lp(rng))
         s = solve_lp(lp, SolveOptions(max_iterations=0))
         assert s.status == "iteration_limit"
+
+
+class TestZeroRowPrograms:
+    """A program without rows takes the phases of any other: its basis is
+    empty, and each column swings to the bound its cost prefers."""
+
+    def test_tiebreak_decides_the_point(self):
+        b = ProgramBuilder()
+        b.add_col("x0", 0.0, 1.0)
+        b.add_col("x1", 0.0, 1.0)
+        s = solve_lp(b.build(tiebreak=np.array([1.0, -1.0])))
+        assert s.status == "optimal" and s.x.tolist() == [0.0, 1.0]
+        assert s.phase_iterations == (0, 0, 1) and s.objective == 0.0
+
+    def test_negative_cost_reaches_the_upper_bound(self):
+        b = ProgramBuilder()
+        b.add_col("x0", 0.0, 2.0, -1.0)
+        s = solve_lp(b.build())
+        assert s.status == "optimal" and s.x.tolist() == [2.0] and s.objective == -2.0
+        assert s.iterations == 1 and s.phase_iterations == (0, 1, 0)
+        assert s.basis.cols.tolist() == [AT_UP] and s.basis.rows.size == 0 and s.basis.inverse.shape == (0, 0)
+
+    def test_free_priced_column_is_unbounded(self):
+        b = ProgramBuilder()
+        b.add_col("x0", -np.inf, np.inf, 1.0)
+        s = solve_lp(b.build())
+        assert s.status == "unbounded" and s.basis is None and np.isnan(s.objective)
 
 
 class TestOracleEquivalence:
@@ -428,7 +456,7 @@ class TestWarmStart:
         cols[soc[np.flatnonzero(cols[soc] == BASIC)[0]]] = 0  # keep the count
         return Basis(cols, basis.rows)
 
-    @pytest.mark.parametrize("case", ["singular", "wrong size", "no overlap"])
+    @pytest.mark.parametrize("case", ["singular", "wrong size", "wrong split", "no overlap"])
     def test_unusable_start_gives_the_cold_result(self, case):
         lp = dispatch_lp(48, initial_soc=0.5)
         cold = solve_lp(lp)
@@ -436,12 +464,16 @@ class TestWarmStart:
             start = self._singular(lp, cold.basis)
         elif case == "wrong size":
             start = solve_lp(dispatch_lp(24, initial_soc=0.5)).basis
+        elif case == "wrong split":
+            # the right total length, one row logical's status moved over to the columns
+            start = Basis(np.append(cold.basis.cols, cold.basis.rows[0]), cold.basis.rows[1:])
         else:
             source = dispatch_lp(48, initial_soc=0.5, start=0)
             assert shift_basis(solve_lp(source).basis, source, lp, 48) is None
             start = None
         got = solve_lp(lp, SolveOptions(basis=start))
-        assert got.warm_start == (None if start is None else case)
+        assert got.warm_start == (None if start is None else "wrong size" if case == "wrong split" else case)
+        assert got.start_inverse is None
         assert got.iterations == cold.iterations and got.phase_iterations == cold.phase_iterations
         assert np.array_equal(got.x, cold.x)
 
@@ -599,6 +631,24 @@ class TestCarriedInverse:
         assert got.warm_start == "accepted" and got.start_inverse == "none carried"
         self._as_without_inverse(target, start, got)
 
+    def test_added_entry_in_a_kept_row_carries_none(self):
+        """The entries a shift adds border the kept block only when none of
+        them has an entry in a kept row.  ``shift_basis`` adds only the new
+        step's columns, so the start here is made by hand: a storage's SOC
+        of the last kept step, nonbasic there, enters in place of its SOC of
+        the new step.  Both have an entry in the new step's dynamics row, so
+        the new rows alone would still look invertible."""
+        source, target = dispatch_lp(24, start=6), dispatch_lp(24, start=7)
+        basis = solve_lp(source).basis
+        start = shift_basis(basis, source, target, 1)
+        assert start.inverse is not None
+        cols = start.cols.copy()
+        soc = target.meta["columns"]["soc"]
+        s = np.flatnonzero(cols[soc[:, -2]] != BASIC)[0]
+        cols[soc[s, -2]], cols[soc[s, -1]] = BASIC, AT_LO
+        maps = build_module._shift_maps(24, 24, 1, len(target.meta["generators"]), len(target.meta["storages"]))
+        assert build_module._shift_inverse(basis, maps, target, cols, start.rows) is None
+
 
 @pytest.mark.parametrize("warm", [True, False], ids=["shifted", "cold"])
 def test_shared_augmented_matrix_solves_as_the_triplets(warm):
@@ -607,14 +657,26 @@ def test_shared_augmented_matrix_solves_as_the_triplets(warm):
     lp, start = shifted_start(48, initial_soc=0.5)
     options = SolveOptions(basis=start) if warm else SolveOptions()
     got = solve_lp(lp, options)
-    ref = solve_lp(replace(lp, augmented=None), options)
-    assert lp.augmented is not None and got.status == "optimal" and got.phase_iterations[0] > 0
+    own = replace(lp)  # a copy drops the shared matrix
+    ref = solve_lp(own, options)
+    assert lp.augmented is not None and own.augmented is None
+    assert got.status == "optimal" and got.phase_iterations[0] > 0
     assert got.start_inverse == ("carried" if warm else None)
     for part in ("warm_start", "start_inverse", "phase_iterations"):
         assert getattr(got, part) == getattr(ref, part), part
     for part in ("cols", "rows", "inverse"):
         assert getattr(got.basis, part).tobytes() == getattr(ref.basis, part).tobytes(), part
     assert got.x.tobytes() == ref.x.tobytes()
+
+
+def test_replaced_triplets_are_the_ones_solved():
+    """A program copied with new triplets drops the shared ``[A  -I]`` and
+    solves its own triplets, not the matrix of the program it came from."""
+    lp = dispatch_lp(24)
+    doubled = replace(lp, a_vals=2 * lp.a_vals)
+    assert doubled.augmented is None
+    assert solve_lp(lp).objective == pytest.approx(1.5022, abs=5e-5)
+    assert solve_lp(doubled).objective == pytest.approx(0.1937, abs=5e-5)
 
 
 def _highs(lp, cost, cap=None):
