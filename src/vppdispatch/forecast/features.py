@@ -59,7 +59,8 @@ def build_features(history: np.ndarray, calendar: TimeGrid, t: int, K: int) -> n
 
 def lag_window(history: np.ndarray, t: int, K: int) -> np.ndarray:
     """The lag part of ``build_features``, with its checks: the K values of
-    ``history`` immediately before t, shape (K,)."""
+    ``history`` immediately before t, shape (K,).  The recurrent sequences
+    are range-checked through it too."""
     if K < 1:
         raise ValueError("lag count K must be >= 1")
     if t - K < 0 or t > history.shape[0]:
@@ -80,38 +81,19 @@ def _sequence_rows(histories: Sequence[np.ndarray], calendar: TimeGrid, first: i
     return out
 
 
-def _check_sequence_range(history: np.ndarray, t: int, K: int) -> None:
-    """The checks ``build_features`` makes for every row of the sequence ending at t."""
-    if K < 1:
-        raise ValueError("lag count K must be >= 1")
-    if t - K < 0:
-        raise InsufficientHistoryError(f"need {K} observations before step {t}")
-    if t > history.shape[0]:
-        raise InsufficientHistoryError(
-            f"need {K} observations before step {t}, history covers [0, {history.shape[0]})"
-        )
-
-
-def recurrent_sequence(history: np.ndarray, calendar: TimeGrid, t: int, K: int) -> np.ndarray:
-    """Input sequence for the recurrent models, shape (K, 7).
-
-    Element k holds the observed value at step t-K+k followed by the
-    calendar encoding of step t-K+k+1, so the last element carries the
-    calendar of the first step to be predicted.
-    """
-    return recurrent_sequences([history], calendar, t, K)[0]
-
-
 def recurrent_sequences(histories: Sequence[np.ndarray], calendar: TimeGrid, t: int, K: int) -> np.ndarray:
-    """``recurrent_sequence`` of M series at one step, shape (M, K, 7).
+    """Input sequences of M series for the recurrent models at step t,
+    shape (M, K, 7).
 
-    The calendar block of steps t-K+1 ... t is encoded once; each series
-    gives only its lag column, and each is checked as ``recurrent_sequence``
-    checks it.
+    Element k of a series' sequence holds its observed value at step
+    t-K+k followed by the calendar encoding of step t-K+k+1, so the last
+    element carries the calendar of the first step to be predicted.  The
+    calendar block is encoded once; each series gives only its lag column,
+    and each is checked as ``lag_window`` checks the K values before t.
     """
     histories = [np.asarray(history, dtype=np.float64) for history in histories]
     for history in histories:
-        _check_sequence_range(history, t, K)
+        lag_window(history, t, K)
     return _sequence_rows(histories, calendar, t - K + 1, t + 1)
 
 
@@ -134,14 +116,14 @@ def window_dataset_recurrent(
     """Sequence/horizon training pairs: X (n, K, 7), Y (n, horizon).
 
     Pair i starts at t = max(t_start, K) + i; its sequence is
-    ``recurrent_sequence(history, calendar, t, K)`` and its targets are
-    ``history[t : t + horizon]``.
+    ``recurrent_sequences([history], calendar, t, K)[0]`` and its targets
+    are ``history[t : t + horizon]``.
     """
     history = np.asarray(history, dtype=np.float64)
     first, last = max(t_start, K), t_end - horizon
     if last < first:
         raise InsufficientHistoryError("window range produced no training pairs")
-    _check_sequence_range(history, last, K)
+    lag_window(history, last, K)  # the last sequence's range
     if t_end > history.shape[0]:
         raise InsufficientHistoryError(
             f"targets run to step {t_end}, history covers [0, {history.shape[0]})"

@@ -12,8 +12,8 @@ axis (the weights stacked as ``GateWeights``), each net of a stack with
 the bits of its own forward; ``RecurrentNet.forward`` is its unstacked
 case.  The gates' logistic function is branch-free and gives the same
 bits as the two-branch stable form; ``mse`` is the one definition of the
-training loss, shared by ``loss_and_grads`` and the per-epoch loss that
-training logs from a forward pass alone.
+training loss, shared by ``loss_and_grads`` and the full-dataset losses
+that training checks before its first epoch and after its last.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ affine correction fitted to recent prediction errors, retraining from
 scratch, continued training at a reduced learning rate, and continued
 training with the recurrent cell frozen so only the readout adapts.
 
-``predict_stacked`` forecasts M series of one kind at one step with each
-series' ``predict`` bits: recurrent series in one stacked forward, linear
-series in one recursion whose steps normalize the lags of every series at
-once (``_linear_recursion``, of which a linear ``predict`` is the one-series
-case).
+``predict_stacked`` forecasts M series of one kind at one step: recurrent
+series in one stacked forward, linear series in one recursion whose steps
+normalize the lags of every series at once (``_linear_recursion``).  Each
+row has the bits of its series forecast alone, and ``predict`` is the
+one-series stack.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from ..domain import TimeGrid
 from .features import (
     calendar_encoding,
     lag_window,
-    recurrent_sequence,
     recurrent_sequences,
     window_dataset_linear,
     window_dataset_recurrent,
@@ -114,6 +113,14 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -139,7 +146,6 @@ class ForecastModel:
     linear: LinearAR | None = None
     net: RecurrentNet | None = None
     correction: tuple[float, float] = (1.0, 0.0)  # prediction -> a*pred + b
-    train_losses: list[float] = field(default_factory=list)
 
     def copy(self) -> "ForecastModel":
         return ForecastModel(
@@ -148,7 +154,6 @@ class ForecastModel:
             linear=self.linear.copy() if self.linear is not None else None,
             net=self.net.copy() if self.net is not None else None,
             correction=self.correction,
-            train_losses=list(self.train_losses),
         )
 
 
@@ -163,18 +168,19 @@ def _gd_train(
     hyper: TrainConfig,
     learning_rate: float,
     trainable: tuple[str, ...] = PARAM_NAMES,
-) -> list[float]:
-    """Mini-batch gradient descent on normalized data; returns the
-    full-dataset loss per epoch (index 0 is the pre-update loss).
+) -> None:
+    """Mini-batch gradient descent on normalized data, in place.
 
-    Raises ``DivergenceError`` when a loss becomes non-finite, or when the
-    final loss ends above the pre-update one: the weights exploded even if
-    they stayed finite.
+    Raises ``DivergenceError`` when a minibatch loss becomes non-finite, or
+    when the full-dataset loss after the last epoch is non-finite or above
+    the one before the first: the weights exploded even if they stayed
+    finite.  Those two full-dataset losses are the only forwards outside
+    the minibatches.
     """
     rng = np.random.default_rng(hyper.seed)
     n = X.shape[0]
     batch = min(hyper.batch_size, n)
-    losses = [mse(net.forward(X)[0], Y)]
+    before = mse(net.forward(X)[0], Y)
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
@@ -184,12 +190,11 @@ def _gd_train(
                 raise DivergenceError(epoch)
             for name in trainable:
                 net.params[name] -= learning_rate * grads[name]
-        losses.append(mse(net.forward(X)[0], Y))
-        if not np.isfinite(losses[-1]):
-            raise DivergenceError(epoch)
-    if losses[-1] > losses[0]:
-        raise DivergenceError(hyper.epochs - 1, f"rose from {losses[0]:.3g} to {losses[-1]:.3g}")
-    return losses
+    after = mse(net.forward(X)[0], Y)
+    if not np.isfinite(after):
+        raise DivergenceError(hyper.epochs - 1)
+    if after > before:
+        raise DivergenceError(hyper.epochs - 1, f"rose from {before:.3g} to {after:.3g}")
 
 
 def make_dataset(
@@ -213,13 +218,10 @@ def train(spec: ModelSpec, dataset: tuple[np.ndarray, np.ndarray], hyper: TrainC
     norm = Normalization.fit(X, Y)
     Xn, Yn = norm.norm_x(X), norm.norm_y(Y)
     if spec.kind == "linear":
-        model = ForecastModel(spec=spec, norm=norm, linear=LinearAR.fit(Xn, Yn))
-        resid = Xn @ model.linear.coef + model.linear.intercept - Yn
-        model.train_losses = [float(np.mean(Yn * Yn)), float(np.mean(resid * resid))]
-        return model
+        return ForecastModel(spec=spec, norm=norm, linear=LinearAR.fit(Xn, Yn))
     net = RecurrentNet(input_dim=X.shape[2], hidden_dim=spec.hidden_dim, output_horizon=spec.horizon, seed=hyper.seed)
-    losses = _gd_train(net, Xn, Yn, hyper, hyper.learning_rate)
-    return ForecastModel(spec=spec, norm=norm, net=net, train_losses=losses)
+    _gd_train(net, Xn, Yn, hyper, hyper.learning_rate)
+    return ForecastModel(spec=spec, norm=norm, net=net)
 
 
 # ----------------------------------------------------------------------
@@ -227,23 +229,9 @@ def train(spec: ModelSpec, dataset: tuple[np.ndarray, np.ndarray], hyper: TrainC
 # ----------------------------------------------------------------------
 
 def predict(model: ForecastModel, history: np.ndarray, calendar: TimeGrid, t: int, horizon_T: int) -> np.ndarray:
-    """Point forecasts for steps [t, t+horizon_T) given history up to t.
-
-    Applies the model's affine correction, then floors solar and load
-    forecasts at zero.  A linear model runs ``_linear_recursion`` on its
-    one series.
-    """
-    spec = model.spec
-    history = np.asarray(history, dtype=np.float64)
-    if spec.kind == "linear":
-        out = _linear_recursion([model], [history], calendar, t, horizon_T)[0]
-    else:
-        if horizon_T > spec.horizon:
-            raise ValueError(f"model horizon {spec.horizon} cannot cover {horizon_T} steps")
-        seq = recurrent_sequence(history, calendar, t, spec.lag_K)
-        yn, _ = model.net.forward(model.norm.norm_x(seq)[None, :, :])
-        out = np.asarray(model.norm.denorm_y(yn[0][:horizon_T]))
-    return _corrected(model, out)
+    """Point forecasts for steps [t, t+horizon_T) given history up to t:
+    ``predict_stacked`` of the one model, shape (horizon_T,)."""
+    return predict_stacked([model], [history], calendar, t, horizon_T)[0]
 
 
 def _linear_recursion(
@@ -262,7 +250,7 @@ def _linear_recursion(
     each step one subtract and one divide normalize the (M, K) lags, and
     each series' ``LinearAR.predict`` runs on its own 6+K row; its value,
     times ``target_scale`` plus ``target_mean``, is fed back as the next
-    lag.  ``predict`` is the M=1 case.
+    lag.
     """
     M, K = len(models), models[0].spec.lag_K
     lags = np.empty((M, K + horizon_T))  # column K + h holds the predictions of step h
@@ -289,17 +277,21 @@ def predict_stacked(
     t: int,
     horizon_T: int,
 ) -> np.ndarray:
-    """``predict`` for M models of one kind at one step, shape (M,
-    horizon_T); a model may appear more than once.
+    """Point forecasts of M models of one kind at one step for steps [t,
+    t+horizon_T) given each history up to t, shape (M, horizon_T); a model
+    may appear more than once.  Row m is ``models[m]`` on ``histories[m]``
+    with the bits it has in a stack of one.
 
-    Row m is ``predict(models[m], histories[m], calendar, t, horizon_T)``
-    bit for bit, with its checks.  The models share ``lag_K``.  Linear
-    models run one ``_linear_recursion`` over all M series.  Recurrent
-    models also share ``hidden_dim``: each series is normalized with its
-    own model's ``norm_x`` into one C-contiguous (M, 1, K, 7) batch, which
+    The models share ``lag_K``.  A short history raises
+    ``InsufficientHistoryError``, and a recurrent model whose horizon
+    cannot cover ``horizon_T`` raises ValueError.  Linear models run one
+    ``_linear_recursion`` over all M series.  Recurrent models also share
+    ``hidden_dim``: each series is normalized with its own model's
+    ``norm_x`` into one C-contiguous (M, 1, K, 7) batch, which
     ``recurrence`` runs as M batch-1 forwards over the nets' weights
     stacked by ``GateWeights.stack`` (see ``models.recurrence`` for why
-    the bits are kept), then denormalized.  Each row is then corrected.
+    the bits are kept), then denormalized.  Each row then gets its model's
+    affine correction, and solar and load rows are floored at zero.
     """
     if len({model.spec.kind for model in models}) > 1:
         raise ValueError("stacked models must share a kind")
@@ -431,11 +423,10 @@ def apply_update(
     out = model.copy()
     Xn, Yn = out.norm.norm_x(X), out.norm.norm_y(Y)
     if scheme.kind == "smalllr":
-        losses = _gd_train(out.net, Xn, Yn, hyper, hyper.learning_rate * scheme.lr_multiplier)
+        _gd_train(out.net, Xn, Yn, hyper, hyper.learning_rate * scheme.lr_multiplier)
     else:  # freeze: only the readout moves
         trainable = tuple(n for n in PARAM_NAMES if n not in CELL_PARAMS)
-        losses = _gd_train(out.net, Xn, Yn, hyper, hyper.learning_rate, trainable)
-    out.train_losses = out.train_losses + losses[1:]
+        _gd_train(out.net, Xn, Yn, hyper, hyper.learning_rate, trainable)
     return out
 
 

@@ -17,7 +17,9 @@ named column and one row at a time, with the SOC of each extracted plan
 rebuilt one step at a time and the linear forecast rebuilding its feature
 vector at every horizon step; the package's array versions must match them
 bit for bit, and the calendar encoding is computed from its formula at every
-call, which the looked-up encoding must match bit for bit.  The recurrent cell runs one gate at a time, forward and
+call, which the looked-up encoding must match bit for bit.  A recurrent
+forecast runs the net's own unstacked forward on one sequence, which each
+row of a stacked forecast must match bit for bit.  The recurrent cell runs one gate at a time, forward and
 backward, which the fused cell must match bit for bit, and sigma is estimated
 with one forecast per validation window, which the batched estimate must
 match to rounding.  Scenarios are sampled with their standard normals drawn
@@ -204,9 +206,24 @@ def recursive_predict_linear(model, history, calendar, t: int, horizon_T: int) -
         value = float(model.norm.denorm_y(np.array(yn)))
         out[h] = value
         work = np.append(work, value)
+    return _corrected_and_floored(model, out)
+
+
+def forward_predict_recurrent(model, history, calendar, t: int, horizon_T: int) -> np.ndarray:
+    """The recurrent model's forecast for steps [t, t+horizon_T) through
+    its own unstacked ``forward`` on the one row-by-row sequence ending at
+    t, denormalized; the correction and the floor follow as in
+    ``predict``."""
+    seq = recurrent_sequence_rows(history, calendar, t, model.spec.lag_K)
+    yn, _ = model.net.forward(model.norm.norm_x(seq)[None, :, :])
+    return _corrected_and_floored(model, np.asarray(model.norm.denorm_y(yn[0][:horizon_T])))
+
+
+def _corrected_and_floored(model, out: np.ndarray) -> np.ndarray:
+    """The model's affine correction, then the floor at zero for solar and load."""
     a, b = model.correction
     out = a * out + b
-    if spec.target in ("solar_capacity", "load"):
+    if model.spec.target in ("solar_capacity", "load"):
         out = np.maximum(out, 0.0)
     return out
 

@@ -152,6 +152,33 @@ def test_benchmark_rejects_unknown_config_keys(dataset, tmp_path, capsys, extra,
 
 
 @pytest.mark.parametrize(
+    "train, named",
+    [
+        ({"batch_size": 0}, "batch_size"),
+        ({"epochs": -5}, "epochs"),
+        ({"learning_rate": 0.0}, "learning_rate"),
+    ],
+)
+def test_benchmark_rejects_out_of_range_train_configs(dataset, tmp_path, capsys, train, named):
+    cfg = {
+        "out_dir": str(tmp_path / "bench4"),
+        "dataset_path": str(dataset),
+        "synthetic": None,
+        "controllers": ["nostorage"],
+        "components": False,
+        "controller": {"finetune": train},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=named):
+        load_run_config(str(cfg_path))
+    assert main(["benchmark", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("config error:") and named in out
+    assert not (tmp_path / "bench4").exists()
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda out: replace(load_run_config(str(CONFIGS / "example_benchmark.json")), out_dir=out),

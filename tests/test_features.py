@@ -8,7 +8,6 @@ from vppdispatch.forecast import (
     InsufficientHistoryError,
     build_features,
     calendar_encoding,
-    recurrent_sequence,
     recurrent_sequences,
     window_dataset_linear,
     window_dataset_recurrent,
@@ -79,7 +78,7 @@ def test_calendar_lookups_match_the_formula_bitwise(start):
 def test_recurrent_sequence_shape_and_content():
     grid = TimeGrid(0, 48)
     history = np.arange(30.0)
-    seq = recurrent_sequence(history, grid, t=10, K=4)
+    seq = recurrent_sequences([history], grid, t=10, K=4)[0]
     assert seq.shape == (4, 7)
     # value column holds the observations before each step
     assert np.array_equal(seq[:, 0], [6.0, 7.0, 8.0, 9.0])
@@ -114,7 +113,7 @@ class TestSequencesMatchRowByRowOracle:
             for t in [K, K + 1, 23, 24, 25, 700, 719, 720, 721, 1307, 1499, 1500]:
                 if t < K:
                     continue
-                got = recurrent_sequence(self.HISTORY, grid, t, K)
+                got = recurrent_sequences([self.HISTORY], grid, t, K)[0]
                 ref = recurrent_sequence_rows(self.HISTORY, grid, t, K)
                 assert got.shape == ref.shape == (K, 7)
                 assert np.array_equal(self._bits(got), self._bits(ref)), (start_index, K, t)
@@ -143,11 +142,11 @@ class TestSequencesMatchRowByRowOracle:
         grid = TimeGrid(0, 48)
         history = np.arange(30.0)
         with pytest.raises(InsufficientHistoryError):
-            recurrent_sequence(history, grid, t=3, K=4)
+            recurrent_sequences([history], grid, t=3, K=4)
         with pytest.raises(InsufficientHistoryError):
-            recurrent_sequence(history, grid, t=31, K=4)
+            recurrent_sequences([history], grid, t=31, K=4)
         with pytest.raises(ValueError):
-            recurrent_sequence(history, grid, t=10, K=0)
+            recurrent_sequences([history], grid, t=10, K=0)
         with pytest.raises(InsufficientHistoryError):
             recurrent_sequences([np.arange(40.0), history], grid, t=31, K=4)
         with pytest.raises(InsufficientHistoryError):

@@ -151,9 +151,8 @@ def test_training_matches_the_per_gate_loop_bitwise():
     net = RecurrentNet(input_dim=7, hidden_dim=8, output_horizon=24, seed=4)
     loop = LoopRecurrentNet.of(net)
     hyper = TrainConfig(epochs=120, learning_rate=0.05, batch_size=32, seed=2)
-    losses = _gd_train(net, Xn, Yn, hyper, hyper.learning_rate)
-    losses_ref = _gd_train(loop, Xn, Yn, hyper, hyper.learning_rate)
-    assert _bits_equal(losses, losses_ref)
+    _gd_train(net, Xn, Yn, hyper, hyper.learning_rate)
+    _gd_train(loop, Xn, Yn, hyper, hyper.learning_rate)
     for name in PARAM_NAMES:
         assert _bits_equal(net.params[name], loop.params[name]), name
 
@@ -161,12 +160,11 @@ def test_training_matches_the_per_gate_loop_bitwise():
     online = OnlineData(history=series, calendar=grid, now=24 * 11, online_window=72)
     fine = TrainConfig(epochs=20, learning_rate=0.05, batch_size=16, seed=9)
     for kind in ("smalllr", "freeze"):
-        model = ForecastModel(spec=spec, norm=norm, net=net, train_losses=losses)
-        model_ref = ForecastModel(spec=spec, norm=norm, net=loop, train_losses=losses_ref)
+        model = ForecastModel(spec=spec, norm=norm, net=net)
+        model_ref = ForecastModel(spec=spec, norm=norm, net=loop)
         out = apply_update(model, UpdateScheme(kind), online, fine)
         out_ref = apply_update(model_ref, UpdateScheme(kind), online, fine)
         assert isinstance(out_ref.net, LoopRecurrentNet)
-        assert len(out.train_losses) == len(losses) + fine.epochs
-        assert _bits_equal(out.train_losses, out_ref.train_losses), kind
+        assert not np.array_equal(out.net.params["Wo"], net.params["Wo"]), kind  # the fine-tune trained
         for name in PARAM_NAMES:
             assert _bits_equal(out.net.params[name], out_ref.net.params[name]), (kind, name)

@@ -1,5 +1,5 @@
-"""Stacked recurrent and linear inference against per-series ``predict``,
-bit for bit."""
+"""Stacked recurrent and linear inference against per-series ``predict``
+and the unstacked oracles of ``tests/oracles.py``, bit for bit."""
 
 import numpy as np
 import pytest
@@ -22,6 +22,8 @@ from vppdispatch.forecast import (
     window_dataset_recurrent,
 )
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
+
+from oracles import forward_predict_recurrent, recursive_predict_linear
 
 GRID = TimeGrid(0, 24 * 10)
 TARGETS = ("load", "solar_capacity", "price", "load")
@@ -50,6 +52,8 @@ def _check_rows(models, histories, t, horizon_T):
     assert got.shape == (len(models), horizon_T)
     for model, history, row in zip(models, histories, got):
         assert np.array_equal(_bits(row), _bits(predict(model, history, GRID, t, horizon_T)))
+        oracle = recursive_predict_linear if model.spec.kind == "linear" else forward_predict_recurrent
+        assert np.array_equal(_bits(row), _bits(oracle(model, history, GRID, t, horizon_T)))
 
 
 @pytest.mark.parametrize("H", [1, 16])  # a one-unit cell's products are matrix-vector ones

@@ -22,7 +22,7 @@ from vppdispatch.forecast import (
     save_model,
     train,
 )
-from vppdispatch.forecast.models import CELL_PARAMS, RecurrentNet
+from vppdispatch.forecast.models import CELL_PARAMS, RecurrentNet, mse
 from vppdispatch.forecast.training import _gd_train
 
 from oracles import recursive_predict_linear, windowed_estimate_variance
@@ -74,6 +74,15 @@ class TestTrainLinear:
         assert model.norm.feat_scale.tolist() == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "bad", [{"epochs": -1}, {"batch_size": 0}, {"learning_rate": 0.0}, {"learning_rate": float("nan")}]
+)
+def test_train_config_rejects_out_of_range_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        TrainConfig(**bad)
+    TrainConfig(epochs=0, batch_size=1, learning_rate=1e-9)  # the edges are allowed
+
+
 class TestTrainRecurrent:
     def test_sinusoid_benchmark_under_ten_percent(self):
         series = _sinusoid()
@@ -90,8 +99,12 @@ class TestTrainRecurrent:
         series = _sinusoid()
         spec = _recurrent_spec()
         X, Y = make_dataset(spec, series, GRID, 0, 24 * 10)
-        model = train(spec, (X, Y), TrainConfig(epochs=30, learning_rate=0.1, batch_size=32, seed=3))
-        assert model.train_losses[-1] <= model.train_losses[0]
+        hyper = TrainConfig(epochs=30, learning_rate=0.1, batch_size=32, seed=3)
+        model = train(spec, (X, Y), hyper)
+        Xn, Yn = model.norm.norm_x(X), model.norm.norm_y(Y)
+        initial = RecurrentNet(7, spec.hidden_dim, spec.horizon, seed=hyper.seed)  # the net train starts from
+        before = mse(initial.forward(Xn)[0], Yn)
+        assert mse(model.net.forward(Xn)[0], Yn) < before
 
     def test_seed_determinism_is_bitwise(self):
         series = _sinusoid() + np.random.default_rng(5).normal(0, 0.3, 24 * 30)
@@ -110,19 +123,26 @@ class TestTrainRecurrent:
         with pytest.raises(DivergenceError):
             train(spec, (X, Y), TrainConfig(epochs=200, learning_rate=1e4, batch_size=32, seed=0))
 
-    def test_logged_losses_are_the_full_dataset_loss(self):
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_training_makes_two_full_dataset_forwards(self, epochs, monkeypatch):
         series = _sinusoid() + np.random.default_rng(1).normal(0, 0.2, 24 * 30)
         X, Y = make_dataset(_recurrent_spec(hidden=4), series, GRID, 0, 24 * 6)
         norm = Normalization.fit(X, Y)
         Xn, Yn = norm.norm_x(X), norm.norm_y(Y)
         net = RecurrentNet(7, 4, 24, seed=2)
-        hyper = TrainConfig(epochs=3, learning_rate=0.1, batch_size=16, seed=4)
-        logged = _gd_train(net.copy(), Xn, Yn, hyper, hyper.learning_rate)
-        assert len(logged) == 4
-        for epochs in range(4):  # the same seed replays the same first epochs
-            trained = net.copy()
-            _gd_train(trained, Xn, Yn, replace(hyper, epochs=epochs), hyper.learning_rate)
-            assert logged[epochs] == trained.loss_and_grads(Xn, Yn)[0]
+        batches = []
+        forward = net.forward
+
+        def counting(sequences, *args, **kwargs):
+            batches.append(sequences.shape[0])
+            return forward(sequences, *args, **kwargs)
+
+        monkeypatch.setattr(net, "forward", counting)
+        _gd_train(net, Xn, Yn, TrainConfig(epochs=epochs, learning_rate=0.1, batch_size=16, seed=4), 0.1)
+        n = Xn.shape[0]
+        assert n % 16 != 0  # no minibatch is the full dataset
+        assert batches.count(n) == 2  # the losses before the first epoch and after the last
+        assert len(batches) == 2 + epochs * -(-n // 16)
 
     def test_exploding_finite_weights_raise(self):
         series = _sinusoid()
@@ -398,7 +418,10 @@ class TestApplyUpdate:
     def test_scratch_retrains_from_fresh_state(self):
         out = apply_update(self.model, UpdateScheme("scratch"), self.online, self.hyper)
         assert out.net is not self.model.net
-        assert out.train_losses[-1] <= out.train_losses[0]
+        X, Y = make_dataset(out.spec, self.series, GRID, 0, self.online.now)
+        Xn, Yn = out.norm.norm_x(X), out.norm.norm_y(Y)
+        fresh = RecurrentNet(7, out.spec.hidden_dim, out.spec.horizon, seed=self.hyper.seed)
+        assert mse(out.net.forward(Xn)[0], Yn) < mse(fresh.forward(Xn)[0], Yn)
 
 
 class TestNormalizationRoundTrip:
