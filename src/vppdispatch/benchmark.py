@@ -56,6 +56,10 @@ class RunConfig:
     scenario_counts: tuple[int, ...] = ()
     components: bool = True
 
+    def __post_init__(self):
+        if any(N < 1 for N in self.scenario_counts):
+            raise ValueError("scenario_counts entries must be >= 1")
+
     def split(self, instance: ProblemInstance) -> Split:
         split = Split(train_end=self.train_days * 24, val_end=(self.train_days + self.val_days) * 24)
         split.check(instance.n_steps)

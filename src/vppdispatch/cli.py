@@ -160,21 +160,21 @@ def _cmd_benchmark(args) -> int:
 
     try:
         config = load_run_config(args.config)
+        if args.out:
+            config = replace(config, out_dir=args.out)
+        if args.seed:
+            config = replace(config, seeds=tuple(int(s) for s in args.seed.split(",")))
+        if args.controller:
+            config = replace(config, controllers=tuple(args.controller.split(",")))
+        if args.scenarios is not None:
+            config = replace(config, controller=replace(config.controller, n_scenarios=args.scenarios))
+        if args.scheme:
+            from .forecast import UpdateScheme
+
+            config = replace(config, controller=replace(config.controller, scheme=UpdateScheme(args.scheme)))
     except ValueError as exc:
         print(f"config error: {exc}")
         return 1
-    if args.out:
-        config = replace(config, out_dir=args.out)
-    if args.seed:
-        config = replace(config, seeds=tuple(int(s) for s in args.seed.split(",")))
-    if args.controller:
-        config = replace(config, controllers=tuple(args.controller.split(",")))
-    if args.scenarios is not None:
-        config = replace(config, controller=replace(config.controller, n_scenarios=args.scenarios))
-    if args.scheme:
-        from .forecast import UpdateScheme
-
-        config = replace(config, controller=replace(config.controller, scheme=UpdateScheme(args.scheme)))
     try:
         result = run_benchmark(config)
     except Exception as exc:  # partial outputs remain on disk for inspection

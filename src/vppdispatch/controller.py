@@ -13,14 +13,15 @@ re-plan interval, update scheme).
 Each re-plan starts the simplex from the previous re-plan's optimal basis,
 shifted by the steps between the two, and with it the inverse of its basis
 matrix, derived from the previous re-plan's final inverse instead of
-inverted afresh.  A re-plan starts cold, from the solver's slack basis
-where every row logical is basic, when that basis is unusable or the two
-plans share no step, and after a fallback the next re-plan starts cold.
-A warm re-plan inverts its basis with ``inv`` when no inverse could be
-carried (steps shifted out with more basic entries than rows, an
-artificial column still basic at the previous optimum, a singular block
-in the derivation) or when the carried one misses the solver's check;
-those re-plans are counted and logged at DEBUG.
+inverted afresh, also where a basic SOC column of the step shifted out
+reaches a kept row.  A re-plan starts cold,
+from the solver's slack basis where every row logical is basic, when that
+basis is unusable or the two plans share no step, and after a fallback the
+next re-plan starts cold.  A warm re-plan inverts its basis with ``inv``
+only when no inverse could be carried (an artificial column still basic
+at the previous optimum, a singular block in the derivation) or when the
+carried one misses the solver's check; those re-plans are counted and
+logged at DEBUG.
 
 An infeasible program never aborts an episode: the step falls back to zero
 action and the incident is counted.  Likewise a fine-tune whose training
@@ -104,6 +105,8 @@ class ControllerConfig:
             raise ValueError("require 1 <= T_rl <= horizon_T")
         if self.T_ft < 1:
             raise ValueError("T_ft must be >= 1")
+        if self.n_scenarios < 1:
+            raise ValueError("n_scenarios must be >= 1")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.forecaster not in ("recurrent", "linear", "oracle"):
@@ -135,7 +138,7 @@ class EpisodeResult:
     finetune_divergences: int = 0  # updates that diverged and kept the old model
     warm_starts: int = 0  # re-plans solved from the previous plan's shifted basis
     cold_starts: int = 0  # re-plans solved cold, from the solver's slack basis
-    inverse_refusals: int = 0  # warm starts that inverted their basis: no carried inverse, or it missed the check
+    inverse_refusals: int = 0  # warm starts that inverted their basis: the shift derived no inverse, or it missed the check
     phase_pivots: tuple[int, int, int] = (0, 0, 0)  # pivots of simplex phases 1, 2 and 3, summed over re-plans
     sigma_skips: int = 0  # series left out of a sigma estimate for want of two windows
 

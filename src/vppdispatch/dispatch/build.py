@@ -54,7 +54,8 @@ the latest shape is kept.  The program is validated where it is solved.
 Successive re-plans of a rolling horizon are the same program one step on, so
 ``shift_basis`` carries the optimal basis of one into a start basis for the
 next by index arithmetic over that layout, and the inverse of its basis
-matrix with it (``_shift_inverse``).
+matrix with it (``_shift_inverse``), also where a basic SOC column of the
+step shifted out reaches a kept row and stands in as that row's logical.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import numpy as np
 
 from ..domain import DispatchPlan, ProblemInstance
 from ..scenario import Forecasts, ScenarioSet
-from .lp import AT_LO, BASIC, Basis, LinearProgram, LPSolution, augmented_system, invert_basis
+from .lp import AT_LO, BASIC, Basis, LinearProgram, LPSolution, augmented_system
 
 COLUMN_QUANTITIES = ("grid", "gen", "charge", "discharge", "soc")
 ROW_KINDS = ("dynamics", "balance")
@@ -325,13 +326,14 @@ def shift_basis(basis: Basis, source: LinearProgram, target: LinearProgram, k: i
     are the only shifted-out columns with an entry in a kept row, the first
     dynamics row, where that SOC is now the constant initial SOC.  On the
     kept rows such a column is the logical column of that row, so as many
-    of those logicals as the basis lacks enter it, the first combination
-    of them that leaves the basis nonsingular.  The solver rejects a basis
-    that still comes out of the wrong size or singular.
+    of those logicals as the basis lacks enter it, each standing for its
+    SOC column: the first combination of them for which ``_shift_inverse``
+    derives the inverse of the start basis.  When ``basis`` carries no
+    inverse, the first combination enters, and the solver sets aside a
+    basis that still comes out of the wrong size or singular.
 
-    When ``basis`` carries its inverse and the steps shifted out held as
-    many basic entries as rows, the start basis carries the inverse that
-    ``_shift_inverse`` derives from it.
+    When ``basis`` carries its inverse, the start basis carries the inverse
+    that ``_shift_inverse`` derives from it, or None when it cannot.
     """
     src, dst = source.meta, target.meta
     T0, T1 = src["T"], dst["T"]
@@ -348,36 +350,46 @@ def shift_basis(basis: Basis, source: LinearProgram, target: LinearProgram, k: i
     cols[dst["columns"]["soc"][:, keep:]] = BASIC
 
     short = target.n_rows - np.count_nonzero(cols == BASIC) - np.count_nonzero(rows == BASIC)
+    inverse, entry_to = None, maps.entry_to
     if short > 0 and k:
-        first = dst["rows"]["dynamics"][:, 0]
-        crossing = (basis.cols[src["columns"]["soc"][:, k - 1]] == BASIC) & (rows[first] != BASIC)
-        choices = [list(pick) for pick in combinations(first[crossing], short)]
-        for pick in choices:
-            was = rows[pick]
-            rows[pick] = BASIC
-            if pick is choices[-1] or _nonsingular(target, cols, rows):
+        first, soc = dst["rows"]["dynamics"][:, 0], src["columns"]["soc"][:, k - 1]
+        crossing = (basis.cols[soc] == BASIC) & (rows[first] != BASIC)
+        picks = [list(pick) for pick in combinations(np.flatnonzero(crossing), short)]
+        entry_to = entry_to.copy()
+        for pick in picks:
+            was = rows[first[pick]]
+            rows[first[pick]] = BASIC
+            entry_to[soc[pick]] = target.n_cols + first[pick]  # the logical each SOC column stands as
+            if basis.inverse is None or pick is picks[-1]:
                 break
-            rows[pick] = was
-    inverse = None
-    if basis.inverse is not None and short == 0:
-        inverse = _shift_inverse(basis, maps, target, cols, rows)
+            inverse = _shift_inverse(basis, maps, entry_to, target, cols, rows)
+            if inverse is not None:
+                break
+            rows[first[pick]], entry_to[soc[pick]] = was, -1
+    if basis.inverse is not None and inverse is None:
+        inverse = _shift_inverse(basis, maps, entry_to, target, cols, rows)
     return Basis(cols, rows, inverse)
 
 
-def _shift_inverse(basis: Basis, maps: _ShiftMaps, target: LinearProgram, cols: np.ndarray,
-                   rows: np.ndarray) -> np.ndarray | None:
+def _shift_inverse(basis: Basis, maps: _ShiftMaps, entry_to: np.ndarray, target: LinearProgram,
+                   cols: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
     """The inverse of ``target``'s basis matrix at ``cols``/``rows`` from
-    ``basis.inverse``, that of the source program's basis, whose entries
-    and rows land in ``target`` by ``maps``; None when it cannot be
-    derived.
+    ``basis.inverse``, that of the source program's basis, whose basic
+    entries land in ``target`` by ``entry_to`` (``maps.entry_to``, or a copy
+    that maps crossing SOC columns to their logicals) and rows by ``maps``;
+    None when it cannot be derived or a block it inverts is singular.
 
     Let ``M`` be the source inverse, its rows over the basic entries (kept
     ``K``, shifted out ``C0``) and its columns over the rows (kept ``Rk``,
     shifted out ``R0``).  The kept entries on the kept rows form the same
-    block in both programs, with the same coefficients, and its inverse is
-    the Schur complement ``M[K,Rk] - M[K,R0] M[C0,R0]^-1 M[C0,Rk]`` (Maros,
-    *Computational Techniques of the Simplex Method*, 2003, ch. 8), which
-    needs ``|C0| = |R0|`` and an inner block that ``inv`` can invert.  When
+    block in both programs, with the same coefficients; a crossing SOC
+    column counts as kept, because on the kept rows it equals the logical
+    it maps to.  The block's inverse is the Schur complement
+    ``M[K,Rk] - M[K,R0] M[C0,R0]^-1 M[C0,Rk]`` (Maros, *Computational
+    Techniques of the Simplex Method*, 2003, ch. 8), which needs
+    ``|C0| = |R0|``.  By Jacobi's complementary-minor identity the block is
+    singular exactly when the inner block ``M[C0,R0]`` is, so refusing a
+    singular inner block tests the start basis for ``shift_basis``.  When
     no kept entry reaches a shifted-out row, the source basis matrix is
     block lower-triangular, ``M[C0,Rk]`` is zero and there is nothing to
     correct; that is the common case.  The entries that ``target``'s new
@@ -388,7 +400,7 @@ def _shift_inverse(basis: Basis, maps: _ShiftMaps, target: LinearProgram, cols: 
     solver checks the result before use."""
     n1, m1 = target.n_cols, target.n_rows
     M, new_row = basis.inverse, maps.new_row
-    moved = maps.entry_to[np.flatnonzero(np.concatenate([basis.cols, basis.rows]) == BASIC)]
+    moved = entry_to[np.flatnonzero(np.concatenate([basis.cols, basis.rows]) == BASIC)]
     K, C0 = np.flatnonzero(moved >= 0), np.flatnonzero(moved < 0)
     R0 = np.flatnonzero(maps.row_to < 0)
     entries = np.flatnonzero(np.concatenate([cols, rows]) == BASIC)
@@ -437,19 +449,18 @@ def _shift_inverse(basis: Basis, maps: _ShiftMaps, target: LinearProgram, cols: 
 
 
 def _block_inverse(B: np.ndarray) -> np.ndarray | None:
-    """``inv`` of a block of the shifted inverse, or None when ``inv`` finds
-    it singular; the solver's check of the whole inverse catches an
-    inaccurate one."""
+    """``inv`` of a block of the shifted inverse, or None when the block is
+    singular to working precision: ``inv`` raises, or the 1-norm condition
+    number ``|B|_1 |B^-1|_1`` is not below ``1 / (n eps)``, the rule by
+    which ``np.linalg.matrix_rank`` finds an n-square matrix rank-deficient
+    (there in the 2-norm, through an SVD).  The solver's check of the
+    whole inverse catches an inaccurate one."""
     try:
-        return np.linalg.inv(B)
+        inverse = np.linalg.inv(B)
     except np.linalg.LinAlgError:
         return None
-
-
-def _nonsingular(lp: LinearProgram, cols: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether the columns and logicals marked basic form a basis of ``lp``."""
-    B = lp.augmented_matrix()[:, np.flatnonzero(np.concatenate([cols, rows]) == BASIC)]
-    return B.shape[1] == lp.n_rows and invert_basis(B) is not None
+    condition = np.linalg.norm(B, 1) * np.linalg.norm(inverse, 1)
+    return inverse if condition < 1.0 / (B.shape[0] * np.finfo(B.dtype).eps) else None
 
 
 def extract_plan(solution: LPSolution, lp: LinearProgram) -> DispatchPlan:

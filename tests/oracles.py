@@ -24,7 +24,10 @@ backward, which the fused cell must match bit for bit, and sigma is estimated
 with one forecast per validation window, which the batched estimate must
 match to rounding.  Scenarios are sampled with their standard normals drawn
 afresh at every call; the package's cached draws must match them bit for
-bit.
+bit.  Which logicals enter a shifted basis whose shifted-out step held more
+basic entries than rows is chosen by inverting each candidate start basis
+whole; the package's choice, tested through its derived inverse, must be
+the same.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import itertools
 import numpy as np
 
 from vppdispatch.dispatch import LinearProgram
+from vppdispatch.dispatch.lp import invert_basis
 from vppdispatch.dispatch.simplex import _AT_LO, _AT_UP, _BASIC, _FREE, _REFRESH, _STALL, _TOL
 from vppdispatch.forecast import InsufficientHistoryError, UncertaintyEstimate, build_features, predict
 from vppdispatch.forecast.models import RecurrentNet, _sigmoid
@@ -455,6 +459,42 @@ def rebuilding_iterate(self, max_iterations: int) -> tuple[str, int]:
             others = np.arange(w.shape[0]) != p
             self.binv[others, :] -= np.outer(w[others], self.binv[p, :])
             self.pivots_since_refresh += 1
+
+
+def inverting_shift_logicals(basis, source, target, k: int):
+    """Which first dynamics rows of ``target`` take their logical into the
+    basis that the optimal ``basis`` of ``source``, ``k`` steps earlier,
+    shifts to, when the shifted-out steps held more basic entries than rows:
+    of the logicals of rows whose SOC column of step ``k - 1`` was basic,
+    the first combination of as many as the start basis lacks whose whole
+    basis matrix ``invert_basis`` can invert, else the last.  The start
+    basis is mapped quantity by quantity through the layouts.  Returns the
+    status of every row logical of that start basis and the index of the
+    combination, or None when no step crosses."""
+    src, dst = source.meta, target.meta
+    keep = min(src["T"] - k, dst["T"])
+    cols = np.full(target.n_cols, _AT_LO, dtype=np.int64)
+    rows = np.full(target.n_rows, _AT_LO, dtype=np.int64)
+    for q, index in dst["columns"].items():
+        cols[index[..., :keep]] = basis.cols[src["columns"][q][..., k : k + keep]]
+    for q, index in dst["rows"].items():
+        rows[index[..., :keep]] = basis.rows[src["rows"][q][..., k : k + keep]]
+    cols[dst["columns"]["grid"][keep:]] = _BASIC
+    cols[dst["columns"]["soc"][:, keep:]] = _BASIC
+    short = target.n_rows - np.count_nonzero(cols == _BASIC) - np.count_nonzero(rows == _BASIC)
+    if short <= 0 or k == 0:
+        return None
+    first = dst["rows"]["dynamics"][:, 0]
+    crossing = first[(basis.cols[src["columns"]["soc"][:, k - 1]] == _BASIC) & (rows[first] != _BASIC)]
+    picks = list(itertools.combinations(crossing.tolist(), short))
+    A = target.dense()
+    for i, pick in enumerate(picks):
+        trial = rows.copy()
+        trial[list(pick)] = _BASIC
+        B = np.concatenate([A[:, cols == _BASIC], -np.eye(target.n_rows)[:, trial == _BASIC]], axis=1)
+        if i == len(picks) - 1 or (B.shape[1] == target.n_rows and invert_basis(B) is not None):
+            return trial, i
+    return None
 
 
 def _side_grid(pairs: list[list[float]]) -> np.ndarray:

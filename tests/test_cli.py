@@ -179,6 +179,37 @@ def test_benchmark_rejects_out_of_range_train_configs(dataset, tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "extra, argv, named",
+    [
+        ({"controller": {"n_scenarios": 0}}, [], "n_scenarios"),
+        ({"scenario_counts": [25, 0]}, [], "scenario_counts"),
+        ({}, ["--scenarios", "0"], "n_scenarios"),
+    ],
+    ids=["n_scenarios", "scenario_counts", "--scenarios"],
+)
+def test_benchmark_rejects_scenario_counts_below_one(dataset, tmp_path, capsys, extra, argv, named):
+    """A scenario count below 1, from the config or from ``--scenarios``,
+    is a config error before any pretraining, not a benchmark failure."""
+    cfg = {
+        "out_dir": str(tmp_path / "bench5"),
+        "dataset_path": str(dataset),
+        "synthetic": None,
+        "controllers": ["nostorage", "sofo"],
+        "components": False,
+        **extra,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    if extra:
+        with pytest.raises(ValueError, match=named):
+            load_run_config(str(cfg_path))
+    assert main(["benchmark", "--config", str(cfg_path), *argv]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("config error:") and named in out
+    assert not (tmp_path / "bench5").exists()
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda out: replace(load_run_config(str(CONFIGS / "example_benchmark.json")), out_dir=out),

@@ -20,10 +20,13 @@ from vppdispatch.controller import (
 from vppdispatch import controller
 from vppdispatch.dispatch import Basis, LPSolution, build_deterministic, extract_plan, shift_basis, solve_lp
 from vppdispatch.dispatch.lp import BASIC
+from vppdispatch.dispatch.simplex import SolveOptions
 from vppdispatch.forecast import TrainConfig, UpdateScheme
 from vppdispatch.scenario import Forecasts
 from vppdispatch.simulator import PerturbationConfig
 from vppdispatch.synthetic import SyntheticSpec, generate_synthetic
+
+from oracles import inverting_shift_logicals
 
 
 def _small_instance(days=7, seed=5, noise=0.0):
@@ -217,10 +220,12 @@ class TestWarmStartedEpisodes:
     @pytest.mark.parametrize("name", ["clairvoyant_rolling", "sofo_wide", "sofo_drift"])
     def test_carried_inverses_match_inv(self, name, monkeypatch):
         """Every start basis that carries an inverse carries ``np.linalg.inv``
-        of its basis matrix to 1e-10; the episode counts the warm starts
-        that inverted their basis and sums the pivots of each phase."""
+        of its basis matrix to 1e-10, and every warm start carries one that
+        the solver takes, the crossing case included; the episode counts the
+        warm starts that inverted their basis and sums the pivots of each
+        phase."""
         inst, split, cfg, perturb = self._workloads()[name]
-        solutions, carried = [], 0
+        solutions = []
 
         def check_inverse(lp, options=None):
             start = options.basis
@@ -235,9 +240,36 @@ class TestWarmStartedEpisodes:
         accepted = [s for s in solutions if s.warm_start == "accepted"]
         carried = sum(s.start_inverse == "carried" for s in accepted)
         assert ep.warm_starts == len(accepted) and ep.inverse_refusals == len(accepted) - carried
-        assert carried >= 0.5 * len(accepted)
+        assert ep.inverse_refusals == 0
         assert ep.phase_pivots == tuple(int(sum(p)) for p in zip(*(s.phase_iterations for s in solutions)))
         assert ep.phase_pivots[1] > 0 and ep.phase_pivots[2] > 0
+
+    @pytest.mark.parametrize("name", ["clairvoyant_rolling", "sofo_wide", "sofo_drift"])
+    def test_crossing_logicals_are_the_inverting_ones(self, name, monkeypatch):
+        """Where a basic SOC column of the shifted-out step crosses into a
+        kept row, ``shift_basis`` lets in the logicals that inverting each
+        candidate start basis whole picks (``tests/oracles.py``).  On each
+        workload some re-plan finds its first combination singular and takes
+        a later one.  Shifted without its inverse, such a basis takes the
+        first combination, and the solver sets it aside."""
+        inst, split, cfg, perturb = self._workloads()[name]
+        taken = []
+
+        def checked(basis, source, target, k):
+            start = shift_basis(basis, source, target, k)
+            expected = inverting_shift_logicals(basis, source, target, k)
+            if expected is not None:
+                rows, pick = expected
+                assert np.array_equal(start.rows, rows)
+                taken.append(pick)
+                if pick > 0:
+                    bare = shift_basis(Basis(basis.cols, basis.rows), source, target, k)
+                    assert solve_lp(target, SolveOptions(basis=bare)).warm_start == "singular"
+            return start
+
+        monkeypatch.setattr(controller, "shift_basis", checked)
+        controller.run_episode(inst, split, cfg, name, perturb)
+        assert max(taken, default=0) > 0
 
     def test_refused_inverse_is_counted_and_logged(self, caplog, monkeypatch):
         inst = _small_instance(days=2)

@@ -556,35 +556,29 @@ class TestCarriedInverse:
         assert_inverse(lp, solution.basis)
         assert np.array_equal(start.inverse, given)  # the pivots left the caller's inverse alone
 
-    @pytest.mark.parametrize("k, T, later_T, at", [
-        (1, 48, 48, 7), (3, 48, 48, 7), (1, 24, 23, 7), (2, 24, 20, 7), (1, 24, 20, 14), (1, 48, 30, 5),
-    ])
-    def test_shifted_inverse_is_the_inverse(self, k, T, later_T, at):
+    SHIFTS = [(1, 48, 48, 7, None), (3, 48, 48, 7, None), (1, 24, 23, 7, None), (2, 24, 20, 7, None),
+              (1, 24, 20, 14, None), (1, 48, 30, 5, None), (1, 48, 48, 8, 300)]
+
+    @pytest.mark.parametrize("k, T, later_T, at, n_scenarios", SHIFTS,
+                             ids=["-".join(str(v) for v in case if v is not None) for case in SHIFTS])
+    def test_shifted_inverse_is_the_inverse(self, k, T, later_T, at, n_scenarios):
         """Steps shifted out, new steps appended or the horizon shrinking;
-        the last two drop steps at the end whose rows kept entries reach,
-        so the Schur complement has a correction to make."""
-        source = dispatch_lp(T, start=at - k)
-        target = dispatch_lp(later_T, start=at)
-        start = shift_basis(solve_lp(source).basis, source, target, k)
+        ``1-24-20-14`` and ``1-48-30-5`` drop steps at the end whose rows
+        kept entries reach, so the Schur complement has a correction to
+        make.  In the stochastic ``1-48-48-8-300``, a basic SOC column of the shifted-out step crosses into a kept
+        row, so that step held more basic entries than rows, and the column
+        stands as the logical of that row."""
+        source = dispatch_lp(T, n_scenarios=n_scenarios, start=at - k)
+        target = dispatch_lp(later_T, n_scenarios=n_scenarios, start=at)
+        basis = solve_lp(source).basis
+        if n_scenarios is not None:
+            first = np.concatenate([source.meta["columns"][q][..., 0].ravel() for q in ("grid", "gen", "charge", "discharge", "soc")])
+            rows = np.concatenate([source.meta["rows"][q][..., 0].ravel() for q in ("dynamics", "balance")])
+            assert np.count_nonzero(basis.cols[first] == BASIC) + np.count_nonzero(basis.rows[rows] == BASIC) > rows.size
+        start = shift_basis(basis, source, target, k)
         assert_inverse(target, start)
         got = solve_lp(target, SolveOptions(basis=start))
         assert got.warm_start == "accepted" and got.start_inverse == "carried" and got.status == "optimal"
-
-    def test_crossing_soc_carries_none(self):
-        """A basic SOC column of the shifted-out step crosses into a kept row:
-        the step held more basic entries than rows."""
-        source = dispatch_lp(48, n_scenarios=300, start=7)
-        target = dispatch_lp(48, n_scenarios=300, start=8)
-        basis = solve_lp(source).basis
-        first = np.concatenate([source.meta["columns"][q][..., 0].ravel() for q in ("grid", "gen", "charge", "discharge", "soc")])
-        rows = np.concatenate([source.meta["rows"][q][..., 0].ravel() for q in ("dynamics", "balance")])
-        assert basis.inverse is not None
-        assert np.count_nonzero(basis.cols[first] == BASIC) + np.count_nonzero(basis.rows[rows] == BASIC) > rows.size
-        start = shift_basis(basis, source, target, 1)
-        assert start.inverse is None and basic_count(start) == target.n_rows
-        got = solve_lp(target, SolveOptions(basis=start))
-        assert got.warm_start == "accepted" and got.start_inverse == "none carried"
-        self._as_without_inverse(target, start, got)
 
     def test_artificial_basic_at_the_end_carries_none(self):
         """Phase 1 ends with its artificial column basic at zero, so the final
@@ -631,6 +625,16 @@ class TestCarriedInverse:
         assert got.warm_start == "accepted" and got.start_inverse == "none carried"
         self._as_without_inverse(target, start, got)
 
+    def test_block_inverse_refuses_a_numerically_singular_block(self):
+        """``inv`` inverts a block one ulp from singular without raising; its
+        1-norm condition number, about 1.8e16, reaches ``1 / (n eps)``."""
+        near = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]])
+        assert np.all(np.isfinite(np.linalg.inv(near)))
+        assert build_module._block_inverse(near) is None
+        assert build_module._block_inverse(np.full((2, 2), np.nan)) is None
+        well = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert np.array_equal(build_module._block_inverse(well), np.linalg.inv(well))
+
     def test_added_entry_in_a_kept_row_carries_none(self):
         """The entries a shift adds border the kept block only when none of
         them has an entry in a kept row.  ``shift_basis`` adds only the new
@@ -647,7 +651,7 @@ class TestCarriedInverse:
         s = np.flatnonzero(cols[soc[:, -2]] != BASIC)[0]
         cols[soc[s, -2]], cols[soc[s, -1]] = BASIC, AT_LO
         maps = build_module._shift_maps(24, 24, 1, len(target.meta["generators"]), len(target.meta["storages"]))
-        assert build_module._shift_inverse(basis, maps, target, cols, start.rows) is None
+        assert build_module._shift_inverse(basis, maps, maps.entry_to, target, cols, start.rows) is None
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["shifted", "cold"])
